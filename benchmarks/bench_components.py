@@ -11,8 +11,11 @@ from repro.decnumber.bcd import int_to_bcd
 from repro.hw.bcd_adder import BcdCarryLookaheadAdder
 from repro.isa.decoder import decode_instruction
 from repro.isa.encoder import encode_instruction
+from repro.rocc.decimal_accel import DecimalAccelerator
 from repro.rocket.core import RocketEmulator
 from repro.sim.spike import SpikeSimulator
+from repro.testgen.config import SolutionKind, TestProgramConfig
+from repro.testgen.generator import build_test_program, draw_vectors
 
 
 def test_bcd_adder_throughput(benchmark):
@@ -20,6 +23,41 @@ def test_bcd_adder_throughput(benchmark):
     a = int_to_bcd(98765432109876543210987654321098 % 10**32)
     b = int_to_bcd(12345678901234567890123456789012 % 10**32)
     benchmark(adder.add, a, b)
+
+
+def _method1_command_stream(num_samples=20, seed=2018):
+    """Every RoCC command of a seeded Method-1 decimal64 multiply run."""
+    config = TestProgramConfig(
+        solution=SolutionKind.METHOD1, num_samples=num_samples, seed=seed
+    )
+    program = build_test_program(config, vectors=draw_vectors(num_samples, seed))
+    accelerator = DecimalAccelerator()
+    execute = accelerator.execute
+    stream = []
+
+    def record(**command):
+        stream.append(command)
+        return execute(**command)
+
+    accelerator.execute = record
+    SpikeSimulator(program.image, accelerator=accelerator).run()
+    return stream
+
+
+def test_accelerator_execute_throughput(benchmark):
+    """``DecimalAccelerator.execute`` replaying a fixed Method-1 stream."""
+    stream = _method1_command_stream()
+
+    def replay():
+        accelerator = DecimalAccelerator()
+        execute = accelerator.execute
+        for command in stream:
+            execute(**command)
+        return accelerator
+
+    accelerator = benchmark(replay)
+    assert accelerator.commands_executed == len(stream)
+    benchmark.extra_info["commands"] = len(stream)
 
 
 def test_dpd_codec_throughput(benchmark):

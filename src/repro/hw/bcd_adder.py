@@ -3,8 +3,11 @@
 Method-1 of the paper needs exactly one BCD-CLA "to generate multiplicand
 multiples and accumulate partial products".  This class models it:
 
-* *functionally* — digit-serial BCD addition with carry in/out (the carry
-  network only changes delay, not values, so the functional model is simple);
+* *functionally* — a branch-free SWAR BCD add over the whole width (D. W.
+  Jones, "BCD Arithmetic, a tutorial": bias every digit by 6, add, then take
+  the 6 back out of each digit that produced no carry).  The carry network
+  only changes delay, not values, so one big-integer add stands in for the
+  per-digit lookahead logic;
 * *for timing* — a combinational latency in clock cycles (1 by default, the
   adder fits in a pipeline stage at Rocket-class frequencies);
 * *for cost* — gate-equivalent area and logic depth estimates of a
@@ -14,7 +17,7 @@ multiples and accumulate partial products".  This class models it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import AcceleratorError
 from repro.hw.cost import GE_PER_AND_OR, GE_PER_XOR, GateCost
@@ -26,8 +29,12 @@ _DIGIT_CELL_GE = 42.0
 _LOOKAHEAD_GE_PER_DIGIT = 9.0
 
 
-@dataclass(frozen=True)
-class BcdAddResult:
+def repeat_nibble(nibble: int, digits: int) -> int:
+    """``nibble`` in each of the low ``digits`` digit positions."""
+    return nibble * ((1 << (4 * digits)) - 1) // 0xF
+
+
+class BcdAddResult(NamedTuple):
     """Outcome of one BCD addition."""
 
     value: int       # packed BCD sum, truncated to the adder width
@@ -44,33 +51,33 @@ class BcdCarryLookaheadAdder:
         self.width_digits = width_digits
         self.latency_cycles = latency_cycles
         self.operations = 0
+        self._bits = 4 * width_digits
+        self._mask = (1 << self._bits) - 1
+        self._sixes = repeat_nibble(6, width_digits)
+        self._eights = repeat_nibble(8, width_digits)
+        # Bit 0 of digits 1..n: where the carry out of each digit lands.
+        self._digit_carries = repeat_nibble(1, width_digits) << 4
 
     # ------------------------------------------------------------------ value
     def add(self, a: int, b: int, carry_in: int = 0) -> BcdAddResult:
         """Add two packed-BCD operands (must fit the adder width)."""
-        mask = (1 << (4 * self.width_digits)) - 1
-        if a & ~mask or b & ~mask:
+        if (a | b) >> self._bits:
             raise AcceleratorError(
                 f"operand wider than the {self.width_digits}-digit adder"
             )
-        carry = 1 if carry_in else 0
-        result = 0
-        for digit_index in range(self.width_digits):
-            da = (a >> (4 * digit_index)) & 0xF
-            db = (b >> (4 * digit_index)) & 0xF
-            if da > 9 or db > 9:
-                raise AcceleratorError(
-                    f"invalid BCD nibble in operand at digit {digit_index}"
-                )
-            total = da + db + carry
-            if total > 9:
-                total -= 10
-                carry = 1
-            else:
-                carry = 0
-            result |= total << (4 * digit_index)
+        # A nibble is above 9 iff bit 3 is set and bit 2 or bit 1 is.
+        bad = (a & (a << 1 | a << 2) | b & (b << 1 | b << 2)) & self._eights
+        if bad:
+            digit = ((bad & -bad).bit_length() - 1) >> 2
+            raise AcceleratorError(f"invalid BCD nibble in operand at digit {digit}")
+        biased = a + self._sixes
+        total = biased + b + (1 if carry_in else 0)
+        # sum ^ a ^ b holds the carry into every bit.  A digit with no carry
+        # out still holds its +6 bias: take the 6 back out of exactly those digits.
+        no_carry = ~(total ^ biased ^ b) & self._digit_carries
+        total -= (no_carry >> 2) | (no_carry >> 3)
         self.operations += 1
-        return BcdAddResult(value=result, carry_out=carry, digits=self.width_digits)
+        return BcdAddResult(total & self._mask, total >> self._bits, self.width_digits)
 
     # ------------------------------------------------------------------- cost
     def cost(self) -> GateCost:

@@ -10,7 +10,6 @@ DEC_ACCUM).
 from repro.rocc.interface import (
     Accelerator,
     RoccCommand,
-    RoccResponse,
     RoccResult,
     RoccStatistics,
 )
@@ -26,7 +25,6 @@ from repro.rocc.decimal_accel import DecimalAccelerator, DecimalAcceleratorConfi
 __all__ = [
     "Accelerator",
     "RoccCommand",
-    "RoccResponse",
     "RoccResult",
     "RoccStatistics",
     "FsmState",

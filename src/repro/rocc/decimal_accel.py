@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import AcceleratorError
-from repro.hw.bcd_adder import BcdCarryLookaheadAdder
+from repro.hw.bcd_adder import BcdCarryLookaheadAdder, repeat_nibble
 from repro.hw.bcd_multiplier import BcdMultiplier
 from repro.hw.binary_to_bcd import BinaryToBcdConverter
 from repro.hw.cost import AreaReport, GateCost, register_cost
@@ -257,6 +257,26 @@ class DecimalAccelerator(Accelerator):
         self.function_counts = Counter()
         self._acc_mask = (1 << (4 * self.config.accumulator_digits)) - 1
         self._reg_mask = (1 << (4 * self.config.register_width_digits)) - 1
+        # Per-config constants of the command handlers.  Operands reach the
+        # BCD checks from a core register (64 bits) or the register file.
+        config = self.config
+        self._bcd_eights = repeat_nibble(8, max(16, config.register_width_digits))
+        self._nines = repeat_nibble(9, config.register_width_digits)
+        passes = self._adder_passes
+        # DEC_ADD: register-file operands, or at least one 16-digit core word.
+        self._add_passes = (
+            passes(config.register_width_digits),
+            passes(max(config.register_width_digits, 16)),
+        )
+        self._sub_passes = 2 * passes(config.register_width_digits)  # complement + add
+        self._acc_passes = passes(config.accumulator_digits)
+        self._word_passes = passes(16)
+        # funct7 -> (mnemonic, handler), from the Table II mnemonics: each
+        # command is decoded with one lookup.
+        self._handlers = {
+            funct: (name, getattr(self, f"_cmd_{name.lower()}"))
+            for name, funct in DecimalFunct.BY_NAME.items()
+        }
 
     # ------------------------------------------------------------------ helpers
     def _adder_passes(self, digits_needed: int) -> int:
@@ -269,51 +289,34 @@ class DecimalAccelerator(Accelerator):
             return value
         return self.regfile.read(field)
 
-    @staticmethod
-    def _require_bcd(value: int, what: str) -> None:
-        probe = value
-        while probe:
-            if probe & 0xF > 9:
-                raise AcceleratorError(f"{what} is not valid packed BCD")
-            probe >>= 4
+    def _require_bcd(self, value: int, what: str) -> None:
+        # The adder's nibble test: bit 3 set together with bit 2 or bit 1.
+        if value & (value << 1 | value << 2) & self._bcd_eights:
+            raise AcceleratorError(f"{what} is not valid packed BCD")
+
+    def _done(self, state: str, respond, busy_cycles: int, value: int = 0) -> RoccResult:
+        """Walk the interface FSM; a response carries the low word of ``value``."""
+        respond = bool(respond)
+        busy = self.fsm.run_command(state, respond, busy_cycles)
+        return RoccResult(respond, value & _MASK64 if respond else 0, busy)
 
     # ----------------------------------------------------------------- commands
     def execute_command(self, command: RoccCommand, memory) -> RoccResult:
-        funct = command.funct7
-        self.function_counts[command.function_name] += 1
-        if funct == DecimalFunct.WR:
-            return self._cmd_write(command)
-        if funct == DecimalFunct.RD:
-            return self._cmd_read(command)
-        if funct == DecimalFunct.LD:
-            return self._cmd_load(command, memory)
-        if funct == DecimalFunct.ACCUM:
-            return self._cmd_accum_binary(command)
-        if funct == DecimalFunct.DEC_ADD:
-            return self._cmd_dec_add(command)
-        if funct == DecimalFunct.CLR_ALL:
-            return self._cmd_clear(command)
-        if funct == DecimalFunct.DEC_CNV:
-            return self._cmd_convert(command)
-        if funct == DecimalFunct.DEC_MUL:
-            return self._cmd_multiply(command)
-        if funct == DecimalFunct.DEC_ACCUM:
-            return self._cmd_dec_accum(command)
-        if funct == DecimalFunct.DEC_ADDSUB:
-            return self._cmd_dec_addsub(command)
-        if funct == DecimalFunct.DEC_FMA_ACC:
-            return self._cmd_dec_fma_acc(command)
-        if funct == DecimalFunct.DEC_ADDC:
-            return self._cmd_dec_addc(command)
-        if funct == DecimalFunct.DEC_SUBB:
-            return self._cmd_dec_subb(command)
-        raise AcceleratorError(f"unknown accelerator function funct7={funct:#04x}")
+        entry = self._handlers.get(command.funct7)
+        if entry is None:
+            self.function_counts[command.function_name] += 1
+            raise AcceleratorError(
+                f"unknown accelerator function funct7={command.funct7:#04x}"
+            )
+        name, handler = entry
+        self.function_counts[name] += 1
+        return handler(command, memory)
 
     # WR: move a core register value into the accelerator register set.
     # The rd field selects the destination *word lane* for registers wider
     # than one machine word: lane 0 (the decimal64 kernels' encoding)
     # replaces the whole register, lane k > 0 merges bits [64k, 64k+64).
-    def _cmd_write(self, command: RoccCommand) -> RoccResult:
+    def _cmd_wr(self, command: RoccCommand, memory) -> RoccResult:
         self.require(command.xs1, "WR needs the operand value from the core (xs1)")
         destination = int(command.rs2_value if command.xs2 else command.rs2)
         index = destination % self.config.num_registers
@@ -321,11 +324,10 @@ class DecimalAccelerator(Accelerator):
             self.regfile.write_word(index, command.rd, command.rs1_value)
         else:
             self.regfile.write(index, command.rs1_value)
-        busy = self.fsm.run_command(FsmState.WRITE, respond=False, busy_cycles=1)
-        return RoccResult(has_response=False, value=0, busy_cycles=busy)
+        return self._done(FsmState.WRITE, False, 1)
 
     # RD: respond to the core with a value from the accelerator.
-    def _cmd_read(self, command: RoccCommand) -> RoccResult:
+    def _cmd_rd(self, command: RoccCommand, memory) -> RoccResult:
         self.require(command.xd, "RD must write a core register (xd)")
         selector = command.rs2_value if command.xs2 else command.rs2
         selector = int(selector)
@@ -333,7 +335,7 @@ class DecimalAccelerator(Accelerator):
             value = self.status
         elif selector in ACC_WORD_SELECTORS:
             word = ACC_WORD_SELECTORS.index(selector)
-            value = (self.accumulator >> (64 * word)) & _MASK64
+            value = self.accumulator >> (64 * word)
         elif selector >= REGFILE_WORD_SELECTOR_BASE:
             offset = selector - REGFILE_WORD_SELECTOR_BASE
             index, word = divmod(offset, REGFILE_WORD_LANES)
@@ -341,85 +343,58 @@ class DecimalAccelerator(Accelerator):
                 index % self.config.num_registers, word
             )
         else:
-            value = self.regfile.read(selector % self.config.num_registers) & _MASK64
-        busy = self.fsm.run_command(FsmState.READ, respond=True, busy_cycles=1)
-        return RoccResult(has_response=True, value=value, busy_cycles=busy)
+            value = self.regfile.read(selector % self.config.num_registers)
+        return self._done(FsmState.READ, True, 1, value)
 
     # LD: fetch a 64-bit value from memory through the RoCC memory interface.
-    def _cmd_load(self, command: RoccCommand, memory) -> RoccResult:
+    def _cmd_ld(self, command: RoccCommand, memory) -> RoccResult:
         self.require(command.xs1, "LD needs the address from the core (xs1)")
         self.require(memory is not None, "LD needs a memory port")
         destination = (command.rs2_value if command.xs2 else command.rs2)
         value = memory.read(command.rs1_value, 8)
         self.regfile.write(int(destination) % self.config.num_registers, value)
-        busy = self.fsm.run_command(FsmState.LOAD, respond=False, busy_cycles=2)
-        return RoccResult(
-            has_response=False, value=0, busy_cycles=busy, memory_accesses=1
-        )
+        busy = self.fsm.run_command(FsmState.LOAD, False, 2)
+        return RoccResult(False, 0, busy, memory_accesses=1)
 
     # ACCUM: binary accumulate into an accelerator register.
-    def _cmd_accum_binary(self, command: RoccCommand) -> RoccResult:
+    def _cmd_accum(self, command: RoccCommand, memory) -> RoccResult:
         self.require(command.xs1, "ACCUM needs the operand value from the core (xs1)")
         index = command.rd % self.config.num_registers
         total = (self.regfile.read(index) + command.rs1_value) & self._reg_mask
         self.regfile.write(index, total)
-        has_response = bool(command.xd)
-        busy = self.fsm.run_command(
-            FsmState.ACCUM, respond=has_response, busy_cycles=1
-        )
-        return RoccResult(
-            has_response=has_response, value=total & _MASK64, busy_cycles=busy
-        )
+        return self._done(FsmState.ACCUM, command.xd, 1, total)
 
     # DEC_ADD: BCD addition of two operands through the BCD-CLA.
-    def _cmd_dec_add(self, command: RoccCommand) -> RoccResult:
+    def _cmd_dec_add(self, command: RoccCommand, memory) -> RoccResult:
         op1 = self._operand(command.xs1, command.rs1_value, command.rs1)
         op2 = self._operand(command.xs2, command.rs2_value, command.rs2)
         self._require_bcd(op1, "DEC_ADD operand 1")
         self._require_bcd(op2, "DEC_ADD operand 2")
         result = self.adder.add(op1, op2)
-        digits_needed = max(
-            self.config.register_width_digits,
-            16 if (command.xs1 or command.xs2) else self.config.register_width_digits,
-        )
-        passes = self._adder_passes(digits_needed)
         self.status = (self.status & ~1) | result.carry_out
-        if command.xd:
-            value = result.value & _MASK64
-            busy = self.fsm.run_command(FsmState.DEC_ADD, respond=True, busy_cycles=passes)
-            return RoccResult(has_response=True, value=value, busy_cycles=busy)
-        self.regfile.write(command.rd % self.config.num_registers, result.value)
-        busy = self.fsm.run_command(FsmState.DEC_ADD, respond=False, busy_cycles=passes)
-        return RoccResult(has_response=False, value=0, busy_cycles=busy)
+        if not command.xd:
+            self.regfile.write(command.rd % self.config.num_registers, result.value)
+        passes = self._add_passes[bool(command.xs1 or command.xs2)]
+        return self._done(FsmState.DEC_ADD, command.xd, passes, result.value)
 
     # CLR_ALL: clear the register set, accumulator and status.
-    def _cmd_clear(self, command: RoccCommand) -> RoccResult:
+    def _cmd_clr_all(self, command: RoccCommand, memory) -> RoccResult:
         self.regfile.clear_all()
         self.accumulator = 0
         self.status = 0
-        busy = self.fsm.run_command(FsmState.CLR_ALL, respond=False, busy_cycles=1)
-        return RoccResult(has_response=False, value=0, busy_cycles=busy)
+        return self._done(FsmState.CLR_ALL, False, 1)
 
     # DEC_CNV: binary-to-BCD conversion.
-    def _cmd_convert(self, command: RoccCommand) -> RoccResult:
+    def _cmd_dec_cnv(self, command: RoccCommand, memory) -> RoccResult:
         self.require(self.converter is not None, "this configuration has no converter")
         self.require(command.xs1, "DEC_CNV needs the binary value from the core (xs1)")
         conversion = self.converter.convert(command.rs1_value)
-        if command.xd:
-            busy = self.fsm.run_command(
-                FsmState.DEC_CNV, respond=True, busy_cycles=conversion.cycles
-            )
-            return RoccResult(
-                has_response=True, value=conversion.value & _MASK64, busy_cycles=busy
-            )
-        self.regfile.write(command.rd % self.config.num_registers, conversion.value)
-        busy = self.fsm.run_command(
-            FsmState.DEC_CNV, respond=False, busy_cycles=conversion.cycles
-        )
-        return RoccResult(has_response=False, value=0, busy_cycles=busy)
+        if not command.xd:
+            self.regfile.write(command.rd % self.config.num_registers, conversion.value)
+        return self._done(FsmState.DEC_CNV, command.xd, conversion.cycles, conversion.value)
 
     # DEC_MUL: full BCD multiplication into the accumulator.
-    def _cmd_multiply(self, command: RoccCommand) -> RoccResult:
+    def _cmd_dec_mul(self, command: RoccCommand, memory) -> RoccResult:
         self.require(
             self.multiplier is not None,
             "this configuration has no hardware multiplier (include_multiplier=False)",
@@ -428,18 +403,10 @@ class DecimalAccelerator(Accelerator):
         op2 = self._operand(command.xs2, command.rs2_value, command.rs2) & _MASK64
         result = self.multiplier.multiply(op1, op2)
         self.accumulator = result.value & self._acc_mask
-        has_response = bool(command.xd)
-        busy = self.fsm.run_command(
-            FsmState.DEC_MUL, respond=has_response, busy_cycles=result.cycles
-        )
-        return RoccResult(
-            has_response=has_response,
-            value=self.accumulator & _MASK64,
-            busy_cycles=busy,
-        )
+        return self._done(FsmState.DEC_MUL, command.xd, result.cycles, self.accumulator)
 
     # DEC_ACCUM: accumulator = (accumulator << shift digits) + regfile[k].
-    def _cmd_dec_accum(self, command: RoccCommand) -> RoccResult:
+    def _cmd_dec_accum(self, command: RoccCommand, memory) -> RoccResult:
         index = command.rs1_value if command.xs1 else command.rs1
         index = int(index) % self.config.num_registers
         shift_digits = int(command.rs2_value) if command.xs2 else 1
@@ -454,54 +421,33 @@ class DecimalAccelerator(Accelerator):
         result = self.adder.add(shifted, addend & self._acc_mask)
         self.accumulator = result.value
         self.status = (self.status & ~1) | result.carry_out
-        passes = self._adder_passes(self.config.accumulator_digits)
-        has_response = bool(command.xd)
-        busy = self.fsm.run_command(
-            FsmState.DEC_ACCUM, respond=has_response, busy_cycles=passes
-        )
-        return RoccResult(
-            has_response=has_response,
-            value=self.accumulator & _MASK64,
-            busy_cycles=busy,
-        )
+        return self._done(FsmState.DEC_ACCUM, command.xd, self._acc_passes, self.accumulator)
 
     # DEC_ADDSUB: BCD subtraction through the adder (nines-complement pass
     # followed by an add with carry-in, the classic two-pass use of one
     # BCD-CLA).  result = op1 - op2 mod 10^register_width; status bit 0 is
     # the borrow (1 when op1 < op2 and the result wrapped).
-    def _cmd_dec_addsub(self, command: RoccCommand) -> RoccResult:
+    def _cmd_dec_addsub(self, command: RoccCommand, memory) -> RoccResult:
         op1 = self._operand(command.xs1, command.rs1_value, command.rs1)
         op2 = self._operand(command.xs2, command.rs2_value, command.rs2)
         self._require_bcd(op1, "DEC_ADDSUB operand 1")
         self._require_bcd(op2, "DEC_ADDSUB operand 2")
-        width = self.config.register_width_digits
         # Digit-wise 9 - d never borrows, so the complement is plain binary.
-        nines = int("9" * width, 16)
-        complement = nines - (op2 & self._reg_mask)
+        complement = self._nines - (op2 & self._reg_mask)
         result = self.adder.add(op1 & self._reg_mask, complement, carry_in=1)
-        carry = 1 if (result.value >> (4 * width)) or result.carry_out else 0
         value = result.value & self._reg_mask
+        carry = 1 if result.value != value or result.carry_out else 0
         self.status = (self.status & ~1) | (1 - carry)
-        passes = 2 * self._adder_passes(width)  # complement pass + add pass
-        if command.xd:
-            busy = self.fsm.run_command(
-                FsmState.DEC_ADDSUB, respond=True, busy_cycles=passes
-            )
-            return RoccResult(
-                has_response=True, value=value & _MASK64, busy_cycles=busy
-            )
-        self.regfile.write(command.rd % self.config.num_registers, value)
-        busy = self.fsm.run_command(
-            FsmState.DEC_ADDSUB, respond=False, busy_cycles=passes
-        )
-        return RoccResult(has_response=False, value=0, busy_cycles=busy)
+        if not command.xd:
+            self.regfile.write(command.rd % self.config.num_registers, value)
+        return self._done(FsmState.DEC_ADDSUB, command.xd, self._sub_passes, value)
 
     # DEC_FMA_ACC: accumulator += regfile[k] << shift digits.  The FMA
     # kernels use it to merge an aligned addend into the accumulated product
     # without reading the accumulator back first; unlike DEC_ACCUM the
     # accumulator itself stays in place and the *addend* is shifted.
     # Status bit 0 latches the carry out of the accumulator width.
-    def _cmd_dec_fma_acc(self, command: RoccCommand) -> RoccResult:
+    def _cmd_dec_fma_acc(self, command: RoccCommand, memory) -> RoccResult:
         index = command.rs1_value if command.xs1 else command.rs1
         index = int(index) % self.config.num_registers
         shift_digits = int(command.rs2_value) if command.xs2 else 0
@@ -514,16 +460,7 @@ class DecimalAccelerator(Accelerator):
         result = self.adder.add(self.accumulator, shifted & self._acc_mask)
         self.accumulator = result.value & self._acc_mask
         self.status = (self.status & ~1) | result.carry_out
-        passes = self._adder_passes(self.config.accumulator_digits)
-        has_response = bool(command.xd)
-        busy = self.fsm.run_command(
-            FsmState.DEC_FMA_ACC, respond=has_response, busy_cycles=passes
-        )
-        return RoccResult(
-            has_response=has_response,
-            value=self.accumulator & _MASK64,
-            busy_cycles=busy,
-        )
+        return self._done(FsmState.DEC_FMA_ACC, command.xd, self._acc_passes, self.accumulator)
 
     # DEC_ADDC / DEC_SUBB: the chunked multi-word interface.  The core
     # streams a long BCD number through the adder one 16-digit machine word
@@ -532,7 +469,7 @@ class DecimalAccelerator(Accelerator):
     # back on the response channel.  One command per word replaces the
     # DEC_ADD / carry add / RD / RD sequence the chunked kernels needed with
     # carry chaining done on the core side.
-    def _cmd_dec_addc(self, command: RoccCommand) -> RoccResult:
+    def _cmd_dec_addc(self, command: RoccCommand, memory) -> RoccResult:
         self.require(
             command.xs1 and command.xs2,
             "DEC_ADDC needs both operand words from the core (xs1, xs2)",
@@ -547,13 +484,9 @@ class DecimalAccelerator(Accelerator):
         result = self.adder.add(op1, op2, carry_in=self.status & 1)
         carry = 1 if result.value >> 64 else 0
         self.status = (self.status & ~1) | carry
-        passes = self._adder_passes(16)
-        busy = self.fsm.run_command(FsmState.DEC_ADDC, respond=True, busy_cycles=passes)
-        return RoccResult(
-            has_response=True, value=result.value & _MASK64, busy_cycles=busy
-        )
+        return self._done(FsmState.DEC_ADDC, True, self._word_passes, result.value)
 
-    def _cmd_dec_subb(self, command: RoccCommand) -> RoccResult:
+    def _cmd_dec_subb(self, command: RoccCommand, memory) -> RoccResult:
         self.require(
             command.xs1 and command.xs2,
             "DEC_SUBB needs both operand words from the core (xs1, xs2)",
@@ -573,11 +506,8 @@ class DecimalAccelerator(Accelerator):
         result = self.adder.add(op1, complement, carry_in=1 - borrow_in)
         carry = 1 if result.value >> 64 else 0
         self.status = (self.status & ~1) | (1 - carry)
-        passes = 2 * self._adder_passes(16)  # complement pass + add pass
-        busy = self.fsm.run_command(FsmState.DEC_SUBB, respond=True, busy_cycles=passes)
-        return RoccResult(
-            has_response=True, value=result.value & _MASK64, busy_cycles=busy
-        )
+        passes = 2 * self._word_passes  # complement pass + add pass
+        return self._done(FsmState.DEC_SUBB, True, passes, result.value)
 
     # ------------------------------------------------------------------- state
     def reset(self) -> None:

@@ -7,6 +7,11 @@ state (``Read Resp`` / ``Write Resp``) when the core expects data back, and
 returns to ``Idle``.  The software model tracks the visited states and
 transition counts so tests can assert the Fig. 5 structure and the timing
 model can charge one cycle per transition.
+
+Every command walks one of a few fixed paths, so :meth:`InterfaceFsm.
+run_command` charges a per-(state, respond) hop table built at import time
+from :data:`_LEGAL`; :meth:`InterfaceFsm._go` is the step-by-step
+specification the table is tested against.
 """
 
 from __future__ import annotations
@@ -84,48 +89,74 @@ _LEGAL.add((FsmState.READ_RESP, FsmState.IDLE))
 _LEGAL.add((FsmState.WRITE_RESP, FsmState.IDLE))
 
 
+#: (execute state, respond) -> the transitions one command walks: Idle, its
+#: state, [response,] Idle.  Every hop is checked against _LEGAL once, here.
+_HOPS = {}
+for _state in _EXECUTE_STATES:
+    _resp = FsmState.READ_RESP if _state == FsmState.READ else FsmState.WRITE_RESP
+    _HOPS[(_state, False)] = ((FsmState.IDLE, _state), (_state, FsmState.IDLE))
+    _HOPS[(_state, True)] = (
+        (FsmState.IDLE, _state), (_state, _resp), (_resp, FsmState.IDLE)
+    )
+assert _LEGAL.issuperset(hop for hops in _HOPS.values() for hop in hops)
+
+
 class InterfaceFsm:
-    """Tracks the interface FSM state, transitions and cycle counts."""
+    """Tracks the interface FSM state, transitions and cycle counts.
+
+    Whole commands are tallied per (execute state, respond) path and only
+    expanded into per-transition counts when :attr:`transition_counts` or
+    :attr:`visited_states` is read.
+    """
 
     def __init__(self) -> None:
         self.state = FsmState.IDLE
-        self.transition_counts = Counter()
-        self.visited_states = {FsmState.IDLE}
         self.cycles = 0
+        self._commands = Counter()  # (execute state, respond) -> commands run
+        self._steps = Counter()     # transitions taken one at a time by _go
+
+    @property
+    def transition_counts(self) -> Counter:
+        counts = Counter(self._steps)
+        for key, runs in self._commands.items():
+            for hop in _HOPS[key]:
+                counts[hop] += runs
+        return counts
+
+    @property
+    def visited_states(self) -> set:
+        return {FsmState.IDLE}.union(target for _, target in self.transition_counts)
 
     def _go(self, next_state: str) -> None:
         if (self.state, next_state) not in _LEGAL:
             raise AcceleratorError(
                 f"illegal FSM transition {self.state!r} -> {next_state!r}"
             )
-        self.transition_counts[(self.state, next_state)] += 1
+        self._steps[(self.state, next_state)] += 1
         self.state = next_state
-        self.visited_states.add(next_state)
         self.cycles += 1
 
     def run_command(self, execute_state: str, respond: bool, busy_cycles: int = 1) -> int:
-        """Walk the FSM for one command; return the cycles it spent.
+        """Charge the FSM for one command; return the cycles it spent.
 
         ``execute_state`` is the per-function state; ``respond`` selects the
         Read Resp / Write Resp hop before returning to Idle (used when the
-        command carries ``xd`` and the core waits for data).
+        command carries ``xd`` and the core waits for data).  One cycle per
+        hop, plus ``busy_cycles - 1`` extra ticks in the function state.
         """
         if self.state != FsmState.IDLE:
             raise AcceleratorError("command fired while the FSM was busy")
-        start_cycles = self.cycles
-        self._go(execute_state)
-        # Execution occupies the function state for busy_cycles - 1 extra ticks.
-        self.cycles += max(busy_cycles - 1, 0)
-        if respond:
-            resp_state = (
-                FsmState.READ_RESP if execute_state == FsmState.READ else FsmState.WRITE_RESP
-            )
-            self._go(resp_state)
-        self._go(FsmState.IDLE)
-        return self.cycles - start_cycles
+        key = (execute_state, bool(respond))
+        hops = _HOPS.get(key)
+        if hops is None:
+            self._go(execute_state)  # not an execute state: raises
+        self._commands[key] += 1
+        cycles = len(hops) + busy_cycles - 1 if busy_cycles > 1 else len(hops)
+        self.cycles += cycles
+        return cycles
 
     def reset(self) -> None:
         self.state = FsmState.IDLE
-        self.transition_counts.clear()
-        self.visited_states = {FsmState.IDLE}
         self.cycles = 0
+        self._commands.clear()
+        self._steps.clear()

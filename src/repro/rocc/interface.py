@@ -11,12 +11,13 @@ simulated memory when a command executes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import AcceleratorError
+from repro.isa.rocc import DecimalFunct
 
 
-@dataclass(frozen=True)
-class RoccCommand:
+class RoccCommand(NamedTuple):
     """One command sent over the ``cmd`` channel (decoded custom instruction)."""
 
     funct7: int
@@ -31,17 +32,7 @@ class RoccCommand:
 
     @property
     def function_name(self) -> str:
-        from repro.isa.rocc import DecimalFunct
-
-        return DecimalFunct.BY_VALUE.get(self.funct7, f"FUNCT_{self.funct7}")
-
-
-@dataclass(frozen=True)
-class RoccResponse:
-    """One response on the ``resp`` channel (written back to a core register)."""
-
-    rd: int
-    data: int
+        return DecimalFunct.name_for(self.funct7)
 
 
 @dataclass
@@ -63,8 +54,7 @@ class RoccStatistics:
         self.responses_sent = 0
 
 
-@dataclass(frozen=True)
-class RoccResult:
+class RoccResult(NamedTuple):
     """What the executor needs to know after issuing a command.
 
     ``busy_cycles`` is the number of cycles the accelerator datapath is
@@ -125,19 +115,15 @@ class Accelerator:
         xs2: bool,
         memory,
     ) -> RoccResult:
-        """Adapter called by :class:`repro.sim.executor.Executor`."""
-        command = RoccCommand(
-            funct7=funct7,
-            rd=rd,
-            rs1=rs1,
-            rs2=rs2,
-            rs1_value=rs1_value,
-            rs2_value=rs2_value,
-            xd=xd,
-            xs1=xs1,
-            xs2=xs2,
+        """Adapter called by :class:`repro.sim.executor.Executor`.
+
+        The single entry point for every command, whichever core issued it:
+        subclasses override :meth:`execute_command`, never this method.
+        """
+        result = self.execute_command(
+            RoccCommand(funct7, rd, rs1, rs2, rs1_value, rs2_value, xd, xs1, xs2),
+            memory,
         )
-        result = self.execute_command(command, memory)
         stats = self.stats
         stats.commands_executed += 1
         stats.busy_cycles_total += result.busy_cycles

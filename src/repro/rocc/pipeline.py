@@ -34,7 +34,7 @@ every formula above collapses to the blocking FSM's timing bit-for-bit —
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import AcceleratorError
 from repro.isa.rocc import DecimalFunct, stage_plan
@@ -57,8 +57,7 @@ def split_busy_cycles(busy_cycles: int, depth: int) -> tuple:
     return (base + 1,) * extra + (base,) * (stages - extra)
 
 
-@dataclass(frozen=True)
-class PipelineTransaction:
+class PipelineTransaction(NamedTuple):
     """One command's trip through the staged datapath (all times in cycles).
 
     ``arrival``   when the command reaches the issue queue,
@@ -118,6 +117,8 @@ class AcceleratorPipeline:
             raise AcceleratorError(f"issue width must be positive: {width}")
         self.depth = depth
         self.width = width
+        # The blocking design point: one slot, one stage, nothing overlaps.
+        self._serial = depth == 1 and width == 1
         # Cycle at which each stage-0 issue slot frees.
         self._slot_free = [0] * width
         self._in_flight = []  # completion times of commands still in stages
@@ -133,6 +134,8 @@ class AcceleratorPipeline:
         self, arrival: int, busy_cycles: int, responds: bool, funct7: int
     ) -> PipelineTransaction:
         """Accept one command into the pipeline; return its event times."""
+        if self._serial:
+            return self._issue_serial(arrival, busy_cycles, responds, funct7)
         segments = split_busy_cycles(busy_cycles, self.depth)
         slot = min(range(self.width), key=self._slot_free.__getitem__)
         free = self._slot_free[slot]
@@ -141,13 +144,8 @@ class AcceleratorPipeline:
         next_issue = accept + segments[0]
         self._slot_free[slot] = next_issue
         txn = PipelineTransaction(
-            funct_name=DecimalFunct.name_for(funct7),
-            arrival=arrival,
-            accept=accept,
-            complete=complete,
-            next_issue=next_issue,
-            responds=responds,
-            segments=segments,
+            DecimalFunct.name_for(funct7),
+            arrival, accept, complete, next_issue, responds, segments,
         )
         # Retire everything that finished before this command was accepted.
         still = [t for t in self._in_flight if t > accept]
@@ -161,6 +159,29 @@ class AcceleratorPipeline:
         self.overlap_cycles += complete - txn.release
         self.function_counts[txn.funct_name] += 1
         return txn
+
+    def _issue_serial(
+        self, arrival: int, busy_cycles: int, responds: bool, funct7: int
+    ) -> PipelineTransaction:
+        """:meth:`issue` at depth 1 / width 1: the one segment is the whole
+        busy time, so the previous command has retired by acceptance and
+        the core releases at completion either way (nothing overlaps)."""
+        if busy_cycles < 1:
+            raise AcceleratorError(f"busy cycles must be positive: {busy_cycles}")
+        free = self._slot_free[0]
+        accept = arrival if arrival >= free else free
+        complete = accept + busy_cycles
+        self._slot_free[0] = complete
+        self.retired += len(self._in_flight)
+        self._in_flight = [complete]
+        self.peak_in_flight = 1
+        self.transactions += 1
+        self.stall_cycles += accept - arrival
+        name = DecimalFunct.name_for(funct7)
+        self.function_counts[name] += 1
+        return PipelineTransaction(
+            name, arrival, accept, complete, complete, responds, (busy_cycles,)
+        )
 
     # ------------------------------------------------------------------ state
     @property

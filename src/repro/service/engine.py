@@ -51,6 +51,17 @@ _SPEC_FIELDS = frozenset({
 })
 
 
+def _timed_shard_task(task):
+    """Worker entry point: one shard and the seconds its worker spent on it.
+
+    Timed inside the worker, so the time a shard waits in the executor's
+    queue behind other shards does not count as busy time.
+    """
+    started = time.monotonic()
+    cell_id, report = _run_shard_task(task)
+    return cell_id, report, time.monotonic() - started
+
+
 def cells_from_spec(spec: dict) -> list:
     """Campaign cells for one submitted job spec.
 
@@ -389,11 +400,10 @@ class CampaignService:
 
     async def _run_shard(self, job: Job, cell, task):
         loop = asyncio.get_running_loop()
-        started = time.monotonic()
-        _cell_id, report = await loop.run_in_executor(
-            self._ensure_executor(), _run_shard_task, task
+        _cell_id, report, busy_seconds = await loop.run_in_executor(
+            self._ensure_executor(), _timed_shard_task, task
         )
-        self._busy_seconds += time.monotonic() - started
+        self._busy_seconds += busy_seconds
         self.shards_computed += 1
         job.shards_done += 1
         await self._emit(

@@ -40,6 +40,14 @@ _REASONS = {
 }
 
 
+class _BadRequest(Exception):
+    """A request answered with an error status before it is routed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class ServiceServer:
     """One listening socket wired to one :class:`CampaignService`."""
 
@@ -71,6 +79,11 @@ class ServiceServer:
                 await self._route(writer, *request)
         except ConnectionError:
             pass
+        except _BadRequest as error:
+            try:
+                await _send_json(writer, error.status, {"error": str(error)})
+            except ConnectionError:
+                pass
         except Exception as error:  # defensive: a handler bug must not kill the loop
             try:
                 await _send_json(writer, 500, {
@@ -100,16 +113,16 @@ class ServiceServer:
                 break
             name, _sep, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        raw_length = headers.get("content-length", "") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _BadRequest(400, f"bad Content-Length: {raw_length!r}")
+        length = int(raw_length)
         if length > _MAX_BODY_BYTES:
-            return method, target, headers, None
+            raise _BadRequest(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
 
     async def _route(self, writer, method, target, headers, body) -> None:
-        if body is None:
-            await _send_json(writer, 413, {"error": "request body too large"})
-            return
         path = target.split("?", 1)[0].rstrip("/") or "/"
         if path == "/healthz" and method == "GET":
             await _send_json(writer, 200, {

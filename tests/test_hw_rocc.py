@@ -1,5 +1,7 @@
 """Tests for the hardware component models and the RoCC decimal accelerator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,11 +22,56 @@ from repro.rocc.decimal_accel import (
 from repro.rocc.fsm import FsmState, InterfaceFsm
 from repro.rocc.interface import RoccCommand
 from repro.rocc.regfile import AcceleratorRegisterFile
+from repro.rocket.core import RocketEmulator
+from repro.testgen.config import SolutionKind, TestProgramConfig
+from repro.testgen.generator import build_test_program, draw_vectors
 
 
 # ---------------------------------------------------------------------------
 # BCD adder / multiplier / converter
 # ---------------------------------------------------------------------------
+def _reference_add(a, b, carry_in, width):
+    """The digit-serial BCD adder the SWAR model replaced: one digit at a
+    time, carry rippling upward, the first invalid digit reported."""
+    mask = (1 << (4 * width)) - 1
+    if a & ~mask or b & ~mask:
+        raise AcceleratorError(f"operand wider than the {width}-digit adder")
+    carry = 1 if carry_in else 0
+    result = 0
+    for digit_index in range(width):
+        da = (a >> (4 * digit_index)) & 0xF
+        db = (b >> (4 * digit_index)) & 0xF
+        if da > 9 or db > 9:
+            raise AcceleratorError(
+                f"invalid BCD nibble in operand at digit {digit_index}"
+            )
+        total = da + db + carry
+        if total > 9:
+            total -= 10
+            carry = 1
+        else:
+            carry = 0
+        result |= total << (4 * digit_index)
+    return result, carry
+
+
+def _outcome(add):
+    """``(value, carry_out)`` returned by ``add()``, or the error it raised."""
+    try:
+        value, carry_out = add()[:2]
+    except AcceleratorError as error:
+        return str(error)
+    return value, carry_out
+
+
+def _random_bcd(rng, width):
+    """A packed-BCD operand biased toward 0 and 9 digits (carry chains)."""
+    value = 0
+    for _ in range(width):
+        value = value << 4 | rng.choice((0, 9, rng.randrange(10)))
+    return value
+
+
 class TestBcdAdder:
     @given(st.integers(0, 10 ** 16 - 1), st.integers(0, 10 ** 16 - 1))
     @settings(max_examples=200, deadline=None)
@@ -46,6 +93,45 @@ class TestBcdAdder:
             adder.add(0xA, 0)
         with pytest.raises(AcceleratorError):
             adder.add(int_to_bcd(12345), 0)
+
+    @pytest.mark.parametrize("width", [1, 16, 20, 32, 38, 68])
+    def test_swar_add_matches_digit_loop(self, width):
+        rng = random.Random(2018 + width)
+        adder = BcdCarryLookaheadAdder(width_digits=width)
+        cases = [(_random_bcd(rng, width), _random_bcd(rng, width), carry_in)
+                 for _ in range(300) for carry_in in (0, 1)]
+        # All-nines operands ripple a carry through every digit.
+        nines = int("9" * width, 16)
+        cases += [(nines, 0, 1), (nines, nines, 1), (0, 0, 0), (nines, 1, 0)]
+        for a, b, carry_in in cases:
+            assert _outcome(lambda: adder.add(a, b, carry_in)) == _outcome(
+                lambda: _reference_add(a, b, carry_in, width)
+            ), (hex(a), hex(b), carry_in)
+        assert adder.operations == len(cases)
+
+    @pytest.mark.parametrize("width", [1, 16, 20, 32, 38, 68])
+    def test_invalid_and_wide_operands_raise_like_digit_loop(self, width):
+        rng = random.Random(7 * width)
+        adder = BcdCarryLookaheadAdder(width_digits=width)
+        for _ in range(200):
+            a, b = _random_bcd(rng, width), _random_bcd(rng, width)
+            # Poison one or two random digits of either or both operands.
+            for _poison in range(rng.randint(1, 2)):
+                digit = rng.randrange(width)
+                bad = rng.randrange(10, 16) << (4 * digit)
+                if rng.random() < 0.5:
+                    a = a & ~(0xF << (4 * digit)) | bad
+                else:
+                    b = b & ~(0xF << (4 * digit)) | bad
+            expected = _outcome(lambda: _reference_add(a, b, 0, width))
+            assert isinstance(expected, str) and "at digit" in expected
+            assert _outcome(lambda: adder.add(a, b, rng.randrange(2))) == expected
+        wide = 1 << (4 * width)
+        for a, b in ((wide, 0), (0, wide | 0x5), (-1, 0), (0xA | wide, 0)):
+            expected = _outcome(lambda: _reference_add(a, b, 0, width))
+            assert expected == f"operand wider than the {width}-digit adder"
+            assert _outcome(lambda: adder.add(a, b)) == expected
+        assert adder.operations == 0
 
     def test_cost_scales_with_width(self):
         small = BcdCarryLookaheadAdder(width_digits=8).cost()
@@ -137,6 +223,55 @@ class TestInterfaceFsm:
         assert {FsmState.IDLE, FsmState.READ, FsmState.WRITE, FsmState.CLR_ALL,
                 FsmState.DEC_ADD, FsmState.ACCUM,
                 FsmState.READ_RESP} <= fsm.visited_states
+
+    EXECUTE_STATES = sorted(
+        set(FsmState.ALL)
+        - {FsmState.IDLE, FsmState.READ_RESP, FsmState.WRITE_RESP}
+    )
+
+    @staticmethod
+    def _walk(fsm, state, respond, busy_cycles):
+        """The step-by-step Fig. 5 walk the closed-form table replaces."""
+        start = fsm.cycles
+        fsm._go(state)
+        fsm.cycles += max(busy_cycles - 1, 0)
+        if respond:
+            fsm._go(FsmState.READ_RESP if state == FsmState.READ
+                    else FsmState.WRITE_RESP)
+        fsm._go(FsmState.IDLE)
+        return fsm.cycles - start
+
+    def test_hop_table_matches_go_walk(self):
+        assert len(self.EXECUTE_STATES) == 13
+        table_total, walk_total = InterfaceFsm(), InterfaceFsm()
+        for state in self.EXECUTE_STATES:
+            for respond in (False, True):
+                for busy in range(1, 141):
+                    table, walk = InterfaceFsm(), InterfaceFsm()
+                    assert table.run_command(state, respond, busy) == \
+                        self._walk(walk, state, respond, busy)
+                    assert table.cycles == walk.cycles
+                    assert table.transition_counts == walk.transition_counts
+                    assert table.visited_states == walk.visited_states
+                    assert table.state == walk.state == FsmState.IDLE
+                    table_total.run_command(state, respond, busy)
+                    self._walk(walk_total, state, respond, busy)
+        # Accumulated over every command, too.
+        assert table_total.cycles == walk_total.cycles
+        assert table_total.transition_counts == walk_total.transition_counts
+        assert table_total.visited_states == walk_total.visited_states
+        table_total.reset()
+        assert table_total.cycles == 0 and not table_total.transition_counts
+        assert table_total.visited_states == {FsmState.IDLE}
+
+    @pytest.mark.parametrize("state", [FsmState.IDLE, FsmState.READ_RESP, "BOGUS"])
+    def test_non_execute_state_is_an_illegal_transition(self, state):
+        fsm = InterfaceFsm()
+        with pytest.raises(AcceleratorError,
+                           match=f"illegal FSM transition 'Idle' -> {state!r}"):
+            fsm.run_command(state, respond=False)
+        assert fsm.cycles == 0 and not fsm.transition_counts
+        assert fsm.state == FsmState.IDLE
 
 
 class TestRegisterFile:
@@ -276,8 +411,9 @@ class TestDecimalAccelerator:
         assert accelerator.regfile.read(1) == 0
 
     def test_unknown_function_rejected(self, accelerator):
-        with pytest.raises(AcceleratorError):
+        with pytest.raises(AcceleratorError, match="funct7=0x7f"):
             accelerator.execute_command(_command(0x7F), None)
+        assert accelerator.function_counts == {"FUNCT_127": 1}
 
     def test_statistics_and_area(self, accelerator):
         accelerator.execute_command(_command(DecimalFunct.CLR_ALL), None)
@@ -302,3 +438,101 @@ class TestDecimalAccelerator:
         accelerator.reset()
         assert accelerator.commands_executed == 0
         assert accelerator.fsm.state == FsmState.IDLE
+
+
+# ---------------------------------------------------------------------------
+# Accelerator counters after seeded Method-1 kernel runs
+# ---------------------------------------------------------------------------
+def _method1_run(fmt, op, num_samples, **overrides):
+    precision = {"decimal64": "double", "decimal128": "quad"}[fmt]
+    config = TestProgramConfig(
+        solution=SolutionKind.METHOD1, precision=precision, operation=op,
+        num_samples=num_samples, seed=2018,
+    )
+    program = build_test_program(
+        config, vectors=draw_vectors(num_samples, 2018, fmt=fmt, operation=op)
+    )
+    accelerator = DecimalAccelerator(
+        DecimalAcceleratorConfig.for_format(fmt, **overrides)
+    )
+    result = RocketEmulator(program.image, accelerator=accelerator).run()
+    return accelerator, result
+
+
+def _counters(accelerator, result):
+    pipeline = accelerator.pipeline
+    return {
+        "cycles": result.cycles,
+        "stats": (accelerator.stats.commands_executed,
+                  accelerator.stats.busy_cycles_total,
+                  accelerator.stats.responses_sent),
+        "functions": dict(accelerator.function_counts),
+        "fsm_cycles": accelerator.fsm.cycles,
+        "regfile": (accelerator.regfile.reads, accelerator.regfile.writes),
+        "adder_operations": accelerator.adder.operations,
+        "pipeline": (pipeline.stall_cycles, pipeline.overlap_cycles,
+                     pipeline.peak_in_flight, pipeline.retired,
+                     pipeline.transactions),
+        "pipeline_functions": dict(pipeline.function_counts),
+    }
+
+
+_MUL64 = {"CLR_ALL": 40, "DEC_ACCUM": 640, "DEC_ADD": 337, "RD": 80, "WR": 40}
+_FMA64 = {"CLR_ALL": 72, "DEC_ACCUM": 422, "DEC_ADD": 320, "DEC_ADDC": 65,
+          "DEC_SUBB": 95, "RD": 80, "WR": 40}
+_MUL128 = {"CLR_ALL": 8, "DEC_ACCUM": 272, "DEC_ADD": 68, "RD": 52, "WR": 40}
+_FMA128 = {"CLR_ALL": 15, "DEC_ACCUM": 182, "DEC_ADD": 64, "DEC_ADDC": 32,
+           "DEC_SUBB": 24, "RD": 40, "WR": 24}
+
+
+class TestAcceleratorCounters:
+    """Every counter of the accelerator model, pinned after seeded runs.
+
+    The values were recorded with the digit-loop adder, the step-by-step
+    FSM walk and the if-chain dispatch; a faster model must reproduce them
+    exactly.
+    """
+
+    @pytest.mark.parametrize("fmt,op,num_samples,expected", [
+        ("decimal64", "multiply", 40, {
+            "cycles": 31774, "stats": (1137, 3011, 97), "functions": _MUL64,
+            "fsm_cycles": 3011, "regfile": (1280, 1000),
+            "adder_operations": 977, "pipeline": (0, 0, 1, 1136, 1137),
+            "pipeline_functions": _MUL64,
+        }),
+        ("decimal64", "fma", 40, {
+            "cycles": 76871, "stats": (1094, 2945, 240), "functions": _FMA64,
+            "fsm_cycles": 2945, "regfile": (1062, 1512),
+            "adder_operations": 902, "pipeline": (0, 0, 1, 1093, 1094),
+            "pipeline_functions": _FMA64,
+        }),
+        ("decimal128", "multiply", 8, {
+            "cycles": 20142, "stats": (440, 1204, 52), "functions": _MUL128,
+            "fsm_cycles": 1204, "regfile": (420, 236),
+            "adder_operations": 340, "pipeline": (0, 0, 1, 439, 440),
+            "pipeline_functions": _MUL128,
+        }),
+        ("decimal128", "fma", 8, {
+            "cycles": 22590, "stats": (381, 1064, 96), "functions": _FMA128,
+            "fsm_cycles": 1064, "regfile": (310, 328),
+            "adder_operations": 302, "pipeline": (0, 0, 1, 380, 381),
+            "pipeline_functions": _FMA128,
+        }),
+    ])
+    def test_method1_counters_are_pinned(self, fmt, op, num_samples, expected):
+        assert _counters(*_method1_run(fmt, op, num_samples)) == expected
+
+    @pytest.mark.parametrize("depth,width,cycles,overlap", [
+        (2, 1, 30734, 1040),
+        (4, 2, 30094, 1680),
+    ])
+    def test_staged_pipeline_counters_are_pinned(self, depth, width, cycles,
+                                                 overlap):
+        accelerator, result = _method1_run(
+            "decimal64", "multiply", 40, pipeline_depth=depth, issue_width=width
+        )
+        counters = _counters(accelerator, result)
+        assert counters["cycles"] == cycles
+        assert counters["fsm_cycles"] == 3011
+        assert counters["pipeline"] == (0, overlap, 1, 1136, 1137)
+        assert counters["pipeline_functions"] == _MUL64

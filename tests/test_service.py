@@ -11,6 +11,7 @@ import asyncio
 import dataclasses
 import json
 import os
+import socket
 
 import pytest
 
@@ -264,6 +265,32 @@ class TestCampaignService:
         assert "simulator caught fire" in job.error
         assert job.summary is None
 
+    def test_busy_time_excludes_executor_queue_wait(self, tmp_path):
+        # One worker and three shards per cell: all six shards are handed
+        # to the executor at once and five of them queue behind another.
+        async def scenario():
+            service = CampaignService(ResultCache(tmp_path), workers=1)
+            try:
+                job = await service.submit(
+                    dict(self.SPEC, samples=30, shards_per_cell=3)
+                )
+                await service.wait(job)
+                return job, service.stats()
+            finally:
+                service.shutdown()
+
+        job, stats = asyncio.run(scenario())
+        assert job.status == "done"
+        shard_sim = [event["sim_wall_seconds"] for event in job.events
+                     if event["event"] == "shard_done"]
+        assert len(shard_sim) == 3 * len(KINDS)
+        busy = stats["busy_seconds"]
+        assert busy <= stats["uptime_seconds"]
+        assert stats["worker_utilization"] <= 1.0
+        # Busy time is the shards' own work: their simulation time plus
+        # program build and checking, not a multiple of it.
+        assert sum(shard_sim) <= busy < 2 * sum(shard_sim)
+
     def test_cache_bypass_spec(self, tmp_path):
         async def scenario():
             cache = ResultCache(tmp_path)
@@ -333,6 +360,25 @@ class TestHttpService:
             with pytest.raises(ServiceError) as excinfo:
                 get_json(f"{server.base_url}/no-such-route")
             assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, tmp_path, length):
+        with serve_in_background(ResultCache(tmp_path)) as server:
+            with socket.create_connection((server.host, server.port),
+                                          timeout=10) as raw:
+                raw.sendall(
+                    b"POST /submit HTTP/1.1\r\nHost: localhost\r\n"
+                    b"Content-Length: " + length.encode() + b"\r\n\r\n{}"
+                )
+                reply = b""
+                while chunk := raw.recv(4096):
+                    reply += chunk
+            status_line, _, rest = reply.partition(b"\r\n")
+            assert status_line.split()[1] == b"400"
+            body = json.loads(rest.partition(b"\r\n\r\n")[2])
+            assert "Content-Length" in body["error"]
+            # The connection handler survived: the server still answers.
+            assert get_json(f"{server.base_url}/healthz")["status"] == "ok"
 
     def test_result_while_running_is_409(self, tmp_path):
         with serve_in_background(ResultCache(tmp_path)) as server:
