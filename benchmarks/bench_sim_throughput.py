@@ -29,6 +29,12 @@ promoted block count, compile seconds, deopts — from the opt-in
 result buffer, asserted identical between the cold and every warm run
 before anything is recorded: the speedup must never change a single bit.
 
+The cold functional and gem5 rates are measured beside cold runs with tier 2
+disabled, and their ratio is recorded as ``cold_vs_tier1``.  The script
+exits non-zero, recording nothing, if either ratio is below
+:data:`COLD_VS_TIER1_FLOOR`: compiling may not make a cold run slower than
+not compiling.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sim_throughput.py [--samples N]
@@ -41,9 +47,11 @@ sample count as a smoke test.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -64,17 +72,44 @@ SEED_BASELINE = {"functional": 365_000, "rocket": 152_000}
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_sim.json")
 
 
-def _best_of(repeats, make_and_run):
-    """Return (instructions, best_instr_per_s) over ``repeats`` fresh runs."""
+#: Floor of the in-run invariant: a cold tiered run must reach this
+#: fraction of a cold ``tier2=False`` run's rate (tier 2 may not make a
+#: cold run slower than not compiling at all, beyond timing noise).
+COLD_VS_TIER1_FLOOR = 0.8
+
+
+def _cold_rates(repeats, make, check):
+    """Cold rates: ``(best tiered rate, tiered/tier-1 ratio, tiered front end)``.
+
+    Each of at least five repetitions times a fresh ``make()`` + ``run()``
+    once with tier 2 and once with tier 2 disabled, back to back and
+    alternating which goes first.  The ratio is the median over repetitions
+    of each pair's rate ratio, so a host-speed swing that hits one run of a
+    pair is outvoted.  ``check(result)`` vets every run's result.
+    """
     best = 0.0
-    instructions = 0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = make_and_run()
-        elapsed = time.perf_counter() - start
-        instructions = result.instructions_retired
-        best = max(best, instructions / elapsed)
-    return instructions, best
+    ratios = []
+    tiered = None
+    for repetition in range(max(repeats, 5)):
+        rates = {}
+        for tier2 in ((True, False) if repetition % 2 else (False, True)):
+            start = time.perf_counter()
+            front = make()
+            if not tier2:
+                front.executor.promote_threshold = 0
+            result = front.run()
+            elapsed = time.perf_counter() - start
+            check(result)
+            rates[tier2] = result.instructions_retired / elapsed
+            if tier2:
+                tiered = front
+            # Free this run (simulators hold reference cycles) before the
+            # next one is timed, so no run pays for another's garbage.
+            front = result = None
+            gc.collect()
+        best = max(best, rates[True])
+        ratios.append(rates[True] / rates[False])
+    return best, statistics.median(ratios), tiered
 
 
 def _result_digest(program, result) -> str:
@@ -206,14 +241,19 @@ def run_benchmark(samples: int, repeats: int) -> tuple:
     program = build_test_program(config)
     image = program.image
 
-    cold_result = [None]
+    first = SpikeSimulator(image).run()
+    instructions = first.instructions_retired
+    digest = _result_digest(program, first)
 
-    def _cold_run():
-        cold_result[0] = SpikeSimulator(image).run()
-        return cold_result[0]
+    def _check(what):
+        def check(result):
+            assert _result_digest(program, result) == digest, \
+                f"{what} run diverged from functional result"
+        return check
 
-    instructions, functional_cold = _best_of(repeats, _cold_run)
-    digest = _result_digest(program, cold_result[0])
+    functional_cold, functional_vs_tier1, _ = _cold_rates(
+        repeats, lambda: SpikeSimulator(image), _check("cold functional")
+    )
     functional, tiers, profile = _measure_batch_steady(program, repeats, digest)
     rocket_cold, rocket, rocket_tiers = _measure_rocket(
         image, program, repeats, digest
@@ -222,18 +262,11 @@ def run_benchmark(samples: int, repeats: int) -> tuple:
     # The gem5 model is measured through the same SE-mode entry point the
     # evaluation uses, but on a directly-held CPU so the tier split of its
     # batched executor can be recorded alongside the rate.
-    gem5 = 0.0
-    gem5_cpu = None
-    for _ in range(repeats):
-        gem5_cpu = AtomicSimpleCPU(
-            image, frequency_hz=Gem5Config().frequency_hz
-        )
-        start = time.perf_counter()
-        gem5_result = gem5_cpu.run()
-        elapsed = time.perf_counter() - start
-        gem5 = max(gem5, gem5_result.instructions_retired / elapsed)
-        assert _result_digest(program, gem5_result) == digest, \
-            "gem5 atomic run diverged from functional result"
+    gem5, gem5_vs_tier1, gem5_cpu = _cold_rates(
+        repeats,
+        lambda: AtomicSimpleCPU(image, frequency_hz=Gem5Config().frequency_hz),
+        _check("gem5 atomic"),
+    )
     gem5_tiers = {
         "mode": "batched",  # extra memory cycles 0 -> threaded-code loop
         "tier2_blocks": gem5_cpu.executor.tier2_blocks,
@@ -255,6 +288,10 @@ def run_benchmark(samples: int, repeats: int) -> tuple:
             "rocket": round(rocket),
             "rocket_cold": round(rocket_cold),
             "gem5_atomic": round(gem5),
+        },
+        "cold_vs_tier1": {
+            "functional": round(functional_vs_tier1, 3),
+            "gem5_atomic": round(gem5_vs_tier1, 3),
         },
         "tiers": tiers,
         "rocket_tiers": rocket_tiers,
@@ -374,6 +411,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     profile, record = run_benchmark(args.samples, args.repeats)
+    slow_cold = {
+        front_end: ratio
+        for front_end, ratio in record["cold_vs_tier1"].items()
+        if ratio < COLD_VS_TIER1_FLOOR
+    }
+    for front_end, ratio in slow_cold.items():
+        print(f"  COLD REGRESSION {front_end}: a cold tiered run reached "
+              f"{ratio:.2f}x of a cold tier2=False run "
+              f"(floor {COLD_VS_TIER1_FLOOR}x)")
+    if slow_cold:
+        return 1
     if args.check_regression is not None:
         failures = check_regression(record, args.check_regression, args.tolerance)
         rates = record["instr_per_s"]
@@ -406,6 +454,10 @@ def main(argv=None) -> int:
     print(f"  cycle-accurate cold:  {rates['rocket_cold']:>12,} instr/s  "
           f"({speedups['rocket_cold']:.2f}x vs seed interpreter)")
     print(f"  gem5 atomic:          {rates['gem5_atomic']:>12,} instr/s")
+    cold_ratios = record["cold_vs_tier1"]
+    print(f"  cold vs tier2=False:  functional {cold_ratios['functional']:.2f}x"
+          f" / gem5 {cold_ratios['gem5_atomic']:.2f}x "
+          f"(floor {COLD_VS_TIER1_FLOOR}x, asserted)")
     print(f"  tier split (profiled run): "
           f"tier-2 {tiers['tier2_instructions']:,} instrs "
           f"across {tiers['tier2_blocks']} blocks "

@@ -51,8 +51,8 @@ Correctness safeguards:
 Tier-2: compiled superblocks
 ----------------------------
 
-The closure tables above are *tier 1*.  Superblocks that :meth:`run` executes
-more than :attr:`Executor.promote_threshold` times are **promoted**:
+The closure tables above are *tier 1*.  Superblocks that retire more than
+:attr:`Executor.promote_threshold` instructions in tier 1 are **promoted**:
 :meth:`Executor._promote` walks the trace starting at the block head —
 through conditional branches (fall-through) and ``jal`` targets, stopping at
 ``jalr``, CSR/``ecall``/``ebreak``/``fence.i``/RoCC boundaries, undecodable
@@ -306,9 +306,10 @@ class ExecProfile:
         The side-exit table ranks ``(trace head, exit pc)`` pairs by how
         often a tier-2 trace left compiled code there without a compiled
         continuation — i.e. the fall-back-to-tier-1 transitions that the
-        trace-tree extender targets.  In steady state the table should be
-        (close to) empty: every hot exit earns its own continuation after a
-        couple of arrivals.
+        trace-tree extender targets.  After a cold run the table lists the
+        exits a volume-only first run left unlinked; in rerun steady state
+        it should be (close to) empty: on reruns every recurring exit earns
+        its own continuation after a couple of arrivals.
         """
         lines = [
             "execution profile:",
@@ -417,13 +418,13 @@ class Executor:
     """Threaded-code fetch/decode/execute engine with PC-indexed dispatch."""
 
     #: Default tier-2 promotion threshold, in *instructions retired* at a
-    #: superblock head (not executions): a head is promoted once its tier-1
-    #: volume crosses this.  Volume-based heat auto-scales — a 2-instruction
-    #: loop-control block needs thousands of trips before compiling pays,
-    #: while a 100-instruction kernel body promotes after a few dozen — and
-    #: roughly matches the ~1 ms ``compile()`` cost against the tier-1 time
-    #: the block would otherwise keep burning.
-    PROMOTE_THRESHOLD = 4096
+    #: superblock head (not executions): a head is promoted once its own
+    #: tier-1 volume crosses this.  Matched to compile cost: a promotion
+    #: (trace walk, ``_Rewalk`` retries, ``compile()``) measured 5-8 ms,
+    #: what tier 1 needs for 15-20k instructions at ~2.5M instr/s (2-vCPU
+    #: Xeon, CPython 3.11); an 8192/16384/32768 sweep over the cold
+    #: benchmark campaigns was best at 16384.
+    PROMOTE_THRESHOLD = 16384
 
     def __init__(self, hart, memory, csr_provider=None, rocc=None, *,
                  tier2: bool = True, promote_threshold: int = None,
@@ -483,6 +484,10 @@ class Executor:
         # negative heat so it is never retried.
         self._tier2 = {}
         self._heat = {}
+        #: Set by the owning simulator's ``reset()`` once a program is run
+        #: again: only then do tier-2 side exits reheat their continuations
+        #: (trace trees), so a cold first run promotes by volume alone.
+        self.rerunning = False
         #: Promote after this many instructions retired at a head via tier 1;
         #: ``0`` disables tier 2 entirely (pure tier-1 engine).
         self.promote_threshold = (
@@ -584,6 +589,7 @@ class Executor:
         tier2_get = self._tier2.get
         heat = self._heat
         threshold = self.promote_threshold
+        rerunning = self.rerunning
         profile = self.profile
         pc = hart.pc
         retired = self.retired
@@ -657,16 +663,17 @@ class Executor:
                         self.tier2_deopts += 1
                         continue
                     retired += count
+                    # Trace trees: on a rerun, a tier-2 side exit onto an
+                    # uncompiled head reheats it, so a recurring exit
+                    # promotes into its own continuation; a cold run
+                    # promotes by volume only.
                     if profile is not None:
                         profile._t2(block_pc, count)
-                    # Trace trees: a tier-2 exit that lands on an uncompiled
-                    # head is a side exit falling back to tier 1.  Reheat the
-                    # target so a recurring exit promotes into its own
-                    # compiled continuation after a second arrival — the
-                    # dispatcher then chains trace to trace and the tier-1
-                    # residue shrinks toward the genuinely-uncompilable rest.
-                    if threshold and tier2_get(pc) is None:
-                        self._reheat(block_pc, pc, profile)
+                    if tier2_get(pc) is None:
+                        if profile is not None:
+                            profile._exit(block_pc, pc)
+                        if rerunning:
+                            self._reheat(pc)
                     continue
                 ops = blocks_get(pc)
                 if ops is None:
@@ -687,12 +694,6 @@ class Executor:
                     pc = hart.pc
                     if self.stop:
                         break
-                    # Slow-instruction resume points (rdcycle brackets and
-                    # the like) are the other recurring fall-back-to-tier-1
-                    # edge; reheat them like tier-2 side exits so the block
-                    # after a counter read compiles too.
-                    if threshold and tier2_get(pc) is None:
-                        self._reheat(None, pc, None)
                     continue
                 except _BlockExit as exited:
                     pc = exited.next_pc
@@ -1333,25 +1334,18 @@ class Executor:
     #: Sentinel heat marking a head that can never be promoted.
     _T2_INELIGIBLE = -(1 << 60)
 
-    def _reheat(self, head, exit_pc: int, profile) -> None:
-        """Trace-tree continuation heat for a fall-back-to-tier-1 edge.
+    def _reheat(self, exit_pc: int) -> None:
+        """Trace-tree continuation heat for a rerun's tier-2 side exit.
 
-        Called when compiled code hands control to an uncompiled head:
-        either a tier-2 trace side exit (``head`` is the trace head, recorded
-        in the profile's hot-exit table) or a slow-instruction resume
-        (``head is None``).  Each arrival adds half the promotion threshold,
-        so a recurring edge promotes into a compiled continuation on its
-        second arrival while genuinely-one-shot exits never pay a compile.
-        Promotion right at the edge speculates on the live registers — which
-        are exactly the continuation's entry values, the best speculation
-        source there is.
+        Each arrival adds half the promotion threshold, so a recurring exit
+        promotes into a compiled continuation on its second arrival.
+        Promotion right at the edge speculates on the live registers, which
+        are exactly the continuation's entry values.
         """
         heat = self._heat
         hot = heat.get(exit_pc, 0)
         if hot < 0:  # permanently ineligible head
             return
-        if profile is not None and head is not None:
-            profile._exit(head, exit_pc)
         hot += max(1, (self.promote_threshold + 1) >> 1)
         if hot >= self.promote_threshold:
             heat.pop(exit_pc, None)

@@ -104,11 +104,13 @@ class SpikeSimulator:
 
         Everything the executor *learned* survives: decoded instructions,
         tier-1 superblocks, tier-2 compiled code, promotion heat and the
-        speculation bans accumulated by deopts.  Everything architectural is
-        rewound to construction state: registers (mutated in place — the
-        compiled code binds the register list by object identity), pc, HTIF
-        exit/console state, the executor's halt flags and retire counter,
-        and the accelerator's architectural state.
+        speculation bans accumulated by deopts; the executor is marked as
+        rerunning, which enables trace-tree linking of side exits.
+        Everything architectural is rewound to construction state:
+        registers (mutated in place — the compiled code binds the register
+        list by object identity), pc, HTIF exit/console state, the
+        executor's halt flags and retire counter, and the accelerator's
+        architectural state.
 
         Memory contents are *not* touched; callers running new operand
         vectors must rewrite the operand region and zero the result buffers
@@ -126,6 +128,7 @@ class SpikeSimulator:
         executor.exit_requested = False
         executor.exit_code = 0
         executor.retired = 0
+        executor.rerunning = True
         self.instructions_retired = 0
         if self.accelerator is not None:
             self.accelerator.reset()

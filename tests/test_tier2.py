@@ -375,6 +375,63 @@ class TestSelfModifyingCode:
             "rewritten loop never re-promoted"
 
 
+class TestColdPromotion:
+    """A cold (never-reset) run promotes by tier-1 volume only: neither a
+    slow-instruction resume point nor a tier-2 side exit earns a compile
+    just by being reached again."""
+
+    #: Inner countdown loop (hot, promoted) nested in an outer loop whose
+    #: re-entry block is a tier-2 side exit reached once per outer trip but
+    #: retiring only 4 instructions per arrival.
+    WORDS = [
+        encode_instruction("addi", 6, 0, 8),       # outer trips
+        encode_instruction("addi", 5, 0, 50),      # outer: inner trips
+        encode_instruction("addi", 28, 28, 1),     # inner loop head
+        encode_instruction("addi", 5, 5, -1),
+        encode_instruction("bne", 5, 0, -8),
+        encode_instruction("addi", 6, 6, -1),
+        encode_instruction("bne", 6, 0, -20),      # side exit to BASE + 4
+        encode_instruction("ebreak"),
+    ]
+
+    def test_resume_points_earn_no_compile(self):
+        from repro.core.solution import standard_solutions
+        from repro.testgen.config import SolutionKind
+
+        config, program = _build(SolutionKind.METHOD1, 40, 2018)
+        solution = standard_solutions()[SolutionKind.METHOD1]
+        simulator = SpikeSimulator(
+            program.image, accelerator=solution.make_accelerator(config.fmt)
+        )
+        simulator.executor.promote_threshold = 10 ** 12
+        result = simulator.run()
+        assert result.exit_code == 0
+        assert simulator.accelerator.commands_executed > 0, \
+            "no RoCC resume points — test is vacuous"
+        assert simulator.executor.tier2_blocks == 0
+
+    def _run(self, rerunning):
+        executor, hart, _ = make_executor(self.WORDS, threshold=64)
+        executor.rerunning = rerunning
+        profile = executor.enable_profiling()
+        run_to_trap(executor)
+        assert hart.regs[28] == 8 * 50
+        return executor, profile
+
+    def test_cold_side_exit_promotes_by_volume_only(self):
+        executor, profile = self._run(rerunning=False)
+        assert executor.tier2_blocks == 1 and BASE + 8 in executor._tier2
+        # The exit is still counted (observability) every time it fires.
+        assert profile.side_exits[(BASE + 8, BASE + 4)] == 7
+        assert profile.tier1_instrs[BASE + 4] < 64
+        assert BASE + 4 not in executor._tier2
+
+    def test_rerun_side_exit_links_trace_tree(self):
+        executor, profile = self._run(rerunning=True)
+        assert BASE + 4 in executor._tier2
+        assert profile.side_exits[(BASE + 8, BASE + 4)] == 2
+
+
 class TestRunStepEquivalence:
     def test_run_matches_step_with_tier2(self):
         words = [

@@ -350,9 +350,16 @@ class TestWarmStart:
         profile = organic.executor.enable_profiling()
         organic_result = organic.run()
         # Steady the organic simulator so the profile records every head
-        # that matters.
-        organic.reset()
-        organic.run()
+        # that matters: rerun until the promoted set stops growing, the
+        # same loop the throughput benchmark uses to reach steady state.
+        executor = organic.executor
+        previous, stable, rounds = -1, 0, 0
+        while stable < 3 and rounds < 50:
+            organic.reset()
+            organic.run()
+            rounds += 1
+            stable = stable + 1 if executor.tier2_blocks == previous else 0
+            previous = executor.tier2_blocks
 
         warm = SpikeSimulator(program.image)
         armed = warm.executor.preheat(profile)
