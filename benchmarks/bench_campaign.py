@@ -19,7 +19,7 @@ Usage::
 
 ``--pipeline-sweep`` switches it to the microarchitecture design-space
 study (docs/pipeline.md): the same serial-vs-sharded comparison over
-``run_pipeline_sweep_campaign`` (a small depth × width grid by default),
+``Axes(depths=..., widths=...)`` (a small depth × width grid by default),
 with the per-group Pareto frontier points recorded beside the scaling
 numbers.
 
@@ -48,10 +48,12 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.core.campaign import (  # noqa: E402
+    Axes,
+    run_campaign,
     run_operation_campaign,
-    run_pipeline_sweep_campaign,
     run_table_iv_campaign,
 )
+from repro.core.pareto import frontier_summary  # noqa: E402
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_campaign.json")
 
@@ -84,41 +86,18 @@ def _per_operation_stats(result) -> dict:
     return stats
 
 
-def _frontier_points(result) -> dict:
-    """Per-(operation, format) Pareto points of a pipeline-sweep campaign."""
-    from repro.core.pareto import frontier_of, points_from_campaign
-
-    groups = {}
-    for (op, fmt), points in points_from_campaign(result).items():
-        frontier = frontier_of(points)
-        groups[f"{op}/{fmt}"] = [
-            {
-                "name": point.name,
-                "avg_cycles": round(point.avg_cycles, 3),
-                "gate_equivalents": round(point.gate_equivalents, 1),
-                "flip_flops": point.flip_flops,
-                "pareto": point in frontier,
-            }
-            for point in sorted(
-                points,
-                key=lambda p: (p.avg_cycles, p.gate_equivalents, p.name),
-            )
-        ]
-    return groups
-
-
 def run_benchmark(samples: int, workers: int, shards_per_cell: int,
                   workload: str = None, operations=None,
                   pipeline_sweep: bool = False,
                   depths=(1, 2, 4), widths=(1, 2)) -> dict:
     if pipeline_sweep:
+        axes = Axes(depths=depths, widths=widths,
+                    operations=operations or ("multiply",),
+                    num_samples=samples)
+
         def run(workers):
-            return run_pipeline_sweep_campaign(
-                depths=depths, widths=widths,
-                operations=operations or ("multiply",),
-                num_samples=samples, shards_per_cell=shards_per_cell,
-                workers=workers,
-            )
+            return run_campaign(axes.cells(), shards_per_cell=shards_per_cell,
+                                workers=workers)
     elif operations:
         def run(workers):
             return run_operation_campaign(
@@ -161,7 +140,7 @@ def run_benchmark(samples: int, workers: int, shards_per_cell: int,
         record["pipeline_sweep"] = {
             "depths": list(depths), "widths": list(widths),
         }
-        record["pipeline_frontier"] = _frontier_points(parallel)
+        record["pipeline_frontier"] = frontier_summary(parallel)
     elif operations:
         record["operations"] = [str(op) for op in operations]
         record["per_operation"] = _per_operation_stats(parallel)

@@ -1,8 +1,9 @@
 """Command-line entry point for paper-scale evaluation campaigns.
 
-Runs a Table IV-style campaign through the sharded multiprocess engine
-(:mod:`repro.core.campaign`) and prints the merged table plus a campaign
-summary.  Typical paper-scale invocation::
+Every invocation builds one :class:`~repro.core.campaign.Axes` from its
+flags, expands it into cells, runs them through the sharded multiprocess
+engine (:mod:`repro.core.campaign`) and prints one Table IV-style block per
+group plus a campaign summary.  Typical paper-scale invocation::
 
     PYTHONPATH=src python -m repro.campaign --samples 8000 --workers 4
 
@@ -11,39 +12,44 @@ serial ``EvaluationFramework.evaluate_table_iv`` at the same seed; raise it
 to shard each solution's vector set across workers too (see
 docs/campaigns.md for the determinism trade-off).
 
-``--workload NAME[,NAME...]`` swaps (or multiplies) the operand scenario:
-each registered workload (docs/workloads.md, ``--list-workloads``) becomes
-its own set of cells, rendered as per-workload tables plus a cross-workload
-speedup comparison::
+The list flags fill the axes; cells are ordered operation × format ×
+workload × solution, and a workload is skipped for every (operation,
+format) pair it does not declare:
 
-    PYTHONPATH=src python -m repro.campaign --samples 2000 --workers 4 \\
-        --workload telco-billing,carry-stress,special-values
+* ``--workload NAME[,NAME...]`` — registered operand scenarios
+  (docs/workloads.md, ``--list-workloads``) instead of the ``--classes``
+  mix; tables per workload plus a cross-workload comparison::
 
-``--format NAME[,NAME...]`` adds the interchange-format axis
-(docs/formats.md): each named format gets its own kernels, accelerator
-sizing, operand distributions and oracle contexts.  With ``--differential``
-and no explicit workload list, every registered format-compatible workload
-is co-simulated across spike/rocket/gem5 under each format::
+      PYTHONPATH=src python -m repro.campaign --samples 2000 --workers 4 \\
+          --workload telco-billing,carry-stress,special-values
 
-    PYTHONPATH=src python -m repro.campaign --samples 200 --workers 4 \\
-        --format decimal64,decimal128 --differential
+* ``--format NAME[,NAME...]`` — interchange formats (docs/formats.md);
+  tables per (format, workload).  With ``--differential`` and neither
+  ``--workload`` nor ``--classes``, every registered workload that
+  declares multiply under a requested format is co-simulated across
+  spike/rocket/gem5::
 
-``--op NAME[,NAME...]`` adds the operation axis (docs/operations.md):
-every requested decimal operation (multiply/add/subtract/fma, aliases
-mul/sub/mac) is measured — and, with ``--differential``, co-simulated and
-dual-oracle checked — per format, rendered as one speedup table per
-(operation, format) group plus a cross-operation comparison::
+      PYTHONPATH=src python -m repro.campaign --samples 200 --workers 4 \\
+          --format decimal64,decimal128 --differential
 
-    PYTHONPATH=src python -m repro.campaign --samples 200 --workers 4 \\
-        --op mul,add,fma --format decimal64,decimal128 --differential
+* ``--op NAME[,NAME...]`` — decimal operations (multiply/add/subtract/fma,
+  aliases mul/sub/mac; docs/operations.md); tables per (operation, format,
+  workload), with ``--kinds`` defaulting to method1 and software::
 
-``--pipeline-sweep`` runs the microarchitecture design-space study
-(docs/pipeline.md): every staged-pipeline (depth × width) variant of
-Method-1 — plus the software baseline — is measured per requested format
-and operation, and each group renders a cycles-vs-area Pareto frontier::
+      PYTHONPATH=src python -m repro.campaign --samples 200 --workers 4 \\
+          --op mul,add,fma --format decimal64,decimal128 --differential
 
-    PYTHONPATH=src python -m repro.campaign --samples 200 --workers 4 \\
-        --pipeline-sweep --depths 1,2,4,8 --widths 1,2,4 --differential
+* ``--pipeline-sweep`` — the microarchitecture design-space study
+  (docs/pipeline.md): every staged-pipeline ``--depths`` × ``--widths``
+  variant of Method-1 plus the software baseline, per operation and
+  format, rendered as cycles-vs-area Pareto frontiers::
+
+      PYTHONPATH=src python -m repro.campaign --samples 200 --workers 4 \\
+          --pipeline-sweep --depths 1,2,4,8 --widths 1,2,4 --differential
+
+Exit status: 0 on success, 1 when a ``--differential`` campaign finds a
+divergence, oracle split or check failure, 2 on a usage error (including
+an axis combination no cell satisfies).
 """
 
 from __future__ import annotations
@@ -54,135 +60,24 @@ import os
 import sys
 
 from repro.core import reporting
-from repro.core.campaign import (
-    run_format_campaign,
-    run_operation_campaign,
-    run_pipeline_sweep_campaign,
-    run_table_iv_campaign,
-    run_workload_campaign,
-)
-from repro.testgen.config import SolutionKind
-from repro.verification.database import OperandClass
-from repro.workloads import registered_workloads, workloads_for_format
+from repro.core.campaign import OPERATION_KINDS, Axes, axis_values, run_campaign
+from repro.core.pareto import frontier_summary
+from repro.errors import ConfigurationError
+from repro.workloads import registered_workloads
 
 
-def _parse_workloads(text: str):
-    from repro.errors import ConfigurationError
-    from repro.workloads import get_workload
+def _axis_list(axis: str):
+    """argparse type for a comma-separated list axis of :class:`Axes`."""
 
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not names:
-        raise argparse.ArgumentTypeError(
-            "--workload needs at least one workload name"
-        )
-    for name in names:
+    def parse(text: str) -> tuple:
         try:
-            get_workload(name)  # unknown names get the registry's
-        except ConfigurationError as error:  # did-you-mean message
-            raise argparse.ArgumentTypeError(str(error)) from None
-    duplicates = {name for name in names if names.count(name) > 1}
-    if duplicates:
-        raise argparse.ArgumentTypeError(
-            f"duplicate workload name(s): {', '.join(sorted(duplicates))}"
-        )
-    return names
-
-
-def _parse_formats(text: str):
-    from repro.decnumber.formats import resolve_format_name
-    from repro.errors import DecimalError
-
-    names = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            names.append(resolve_format_name(part))
-        except DecimalError as error:
-            raise argparse.ArgumentTypeError(str(error)) from None
-    if not names:
-        raise argparse.ArgumentTypeError("--format needs at least one format name")
-    duplicates = {name for name in names if names.count(name) > 1}
-    if duplicates:
-        raise argparse.ArgumentTypeError(
-            f"duplicate format name(s): {', '.join(sorted(duplicates))}"
-        )
-    return tuple(names)
-
-
-def _parse_operations(text: str):
-    from repro.decnumber.operations import resolve_operation_name
-    from repro.errors import DecimalError
-
-    names = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            names.append(resolve_operation_name(part))
-        except DecimalError as error:
-            raise argparse.ArgumentTypeError(str(error)) from None
-    if not names:
-        raise argparse.ArgumentTypeError("--op needs at least one operation name")
-    duplicates = {name for name in names if names.count(name) > 1}
-    if duplicates:
-        raise argparse.ArgumentTypeError(
-            f"duplicate operation name(s): {', '.join(sorted(duplicates))}"
-        )
-    return tuple(names)
-
-
-def _parse_positive_ints(flag: str):
-    def parse(text: str):
-        values = []
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            try:
-                value = int(part)
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"{flag} values must be integers, got {part!r}"
-                ) from None
-            if value < 1:
-                raise argparse.ArgumentTypeError(
-                    f"{flag} values must be positive, got {value}"
-                )
-            values.append(value)
-        if not values:
-            raise argparse.ArgumentTypeError(f"{flag} needs at least one value")
-        duplicates = {value for value in values if values.count(value) > 1}
-        if duplicates:
-            raise argparse.ArgumentTypeError(
-                f"duplicate {flag} value(s): "
-                f"{', '.join(str(v) for v in sorted(duplicates))}"
+            return axis_values(
+                axis, [part.strip() for part in text.split(",") if part.strip()]
             )
-        return tuple(values)
+        except ConfigurationError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
 
     return parse
-
-
-def _parse_kinds(text: str):
-    kinds = tuple(part.strip() for part in text.split(",") if part.strip())
-    for kind in kinds:
-        if kind not in SolutionKind.ALL:
-            raise argparse.ArgumentTypeError(
-                f"unknown solution kind {kind!r} (choose from {SolutionKind.ALL})"
-            )
-    return kinds
-
-
-def _parse_classes(text: str):
-    classes = tuple(part.strip() for part in text.split(",") if part.strip())
-    for name in classes:
-        if name not in OperandClass.ALL:
-            raise argparse.ArgumentTypeError(
-                f"unknown operand class {name!r} (choose from {OperandClass.ALL})"
-            )
-    return classes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,16 +103,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=2018,
                         help="operand-database seed")
     parser.add_argument(
-        "--kinds", type=_parse_kinds, default=None,
-        help="comma-separated solution kinds (default: all three Table IV rows)",
+        "--kinds", type=_axis_list("kinds"), default=None,
+        help="comma-separated solution kinds (default: all three Table IV "
+             "rows; method1,software with --op)",
     )
     parser.add_argument(
-        "--classes", type=_parse_classes, default=None,
+        "--classes", type=_axis_list("operand_classes"), default=None,
         help="comma-separated operand classes (default: the Table IV mix; "
              "mutually exclusive with --workload)",
     )
     parser.add_argument(
-        "--workload", type=_parse_workloads, default=None, metavar="NAME[,NAME...]",
+        "--workload", type=_axis_list("workloads"), default=None, metavar="NAME[,NAME...]",
         help=(
             "registered workload scenario(s) to evaluate (see "
             "--list-workloads and docs/workloads.md); more than one name "
@@ -230,18 +126,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered workloads and exit",
     )
     parser.add_argument(
-        "--format", type=_parse_formats, default=None, metavar="NAME[,NAME...]",
+        "--format", type=_axis_list("formats"), default=None, metavar="NAME[,NAME...]",
         dest="formats",
         help=(
             "interchange format(s) to evaluate: decimal64 and/or decimal128 "
             "(docs/formats.md); more than one name fans (format x solution) "
             "cells and renders per-format speedup tables.  Combined with "
             "--differential and no explicit --workload, every registered "
-            "format-compatible workload is co-simulated under each format"
+            "workload declaring multiply under a requested format is "
+            "co-simulated"
         ),
     )
     parser.add_argument(
-        "--op", type=_parse_operations, default=None, metavar="NAME[,NAME...]",
+        "--op", type=_axis_list("operations"), default=None, metavar="NAME[,NAME...]",
         dest="operations",
         help=(
             "decimal operation(s) to evaluate: multiply, add, subtract "
@@ -261,13 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--depths", type=_parse_positive_ints("--depths"), default=(1, 2, 4, 8),
+        "--depths", type=_axis_list("depths"), default=(1, 2, 4, 8),
         metavar="N[,N...]",
         help="pipeline stage depths to sweep (default 1,2,4,8; "
              "requires --pipeline-sweep)",
     )
     parser.add_argument(
-        "--widths", type=_parse_positive_ints("--widths"), default=(1, 2, 4),
+        "--widths", type=_axis_list("widths"), default=(1, 2, 4),
         metavar="N[,N...]",
         help="issue widths to sweep (default 1,2,4; requires --pipeline-sweep)",
     )
@@ -313,181 +210,80 @@ def _render_cache_line(result, cache) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.list_workloads:
         for name, workload in sorted(registered_workloads().items()):
             print(f"{name:<16s} {workload.description}")
         return 0
-    if args.workload and args.classes is not None:
-        build_parser().error(
-            "--classes and --workload are mutually exclusive: a workload "
-            "defines its own operand distribution"
-        )
-    if args.pipeline_sweep and args.workload:
-        build_parser().error(
-            "--pipeline-sweep and --workload are mutually exclusive: the "
-            "sweep measures the Table IV operand mix per design point"
-        )
-    if args.pipeline_sweep and args.kinds:
-        build_parser().error(
-            "--pipeline-sweep and --kinds are mutually exclusive: the sweep "
-            "defines its own design points (Method-1 variants + baseline)"
-        )
+
+    operations = args.operations or ("multiply",)
+    formats = args.formats or ("decimal64",)
+    workloads = args.workload
+    if (args.formats and args.operations is None and args.differential
+            and not workloads and args.classes is None
+            and not args.pipeline_sweep):
+        # The "does the whole pipeline generalise?" sweep: every registered
+        # workload that declares a requested (operation, format) pair.
+        workloads = tuple(sorted(
+            name for name, workload in registered_workloads().items()
+            if any(workload.supports_format(fmt) for fmt in formats)
+            and any(workload.supports_operation(op) for op in operations)
+        ))
+    kinds = args.kinds
+    if kinds is None and args.operations is not None and not args.pipeline_sweep:
+        kinds = OPERATION_KINDS
+    try:
+        cells = Axes(
+            kinds=kinds,
+            depths=args.depths if args.pipeline_sweep else None,
+            widths=args.widths if args.pipeline_sweep else None,
+            formats=formats,
+            operations=operations,
+            workloads=workloads,
+            operand_classes=args.classes,
+            num_samples=args.samples,
+            seed=args.seed,
+            repetitions=args.repetitions,
+            verify_functionally=not args.no_verify,
+            differential=args.differential,
+        ).cells()
+    except ConfigurationError as error:
+        parser.error(str(error))
 
     cache = None
     if args.cache_dir:
         from repro.service.cache import ResultCache
 
         cache = ResultCache(args.cache_dir)
-
-    if args.pipeline_sweep:
-        # Microarchitecture design-space study: one cell per (operation x
-        # format x pipeline design point), rendered as per-group Pareto
-        # frontiers over (cycles, gate equivalents).
-        from repro.core.pareto import frontier_of, points_from_campaign
-
-        result = run_pipeline_sweep_campaign(
-            depths=args.depths,
-            widths=args.widths,
-            formats=args.formats or ("decimal64",),
-            operations=args.operations or ("multiply",),
-            num_samples=args.samples,
-            repetitions=args.repetitions,
-            seed=args.seed,
-            operand_classes=(
-                args.classes if args.classes is not None
-                else OperandClass.TABLE_IV_MIX
-            ),
-            verify_functionally=not args.no_verify,
-            differential=args.differential,
-            workers=args.workers,
-            shards_per_cell=args.shards_per_cell,
-            mp_start_method=args.mp_start_method,
-            cache=cache,
-        )
-        print(reporting.render_pipeline_frontier(result))
-        if args.differential:
-            print()
-            print(reporting.render_differential(result))
-        print()
-        print(reporting.render_campaign(result))
-        if cache is not None:
-            print(_render_cache_line(result, cache))
-        if args.json:
-            summary = result.to_summary()
-            summary["pipeline_frontier"] = {}
-            for (op, fmt), points in points_from_campaign(result).items():
-                frontier = frontier_of(points)
-                summary["pipeline_frontier"][f"{op}/{fmt}"] = [
-                    {
-                        "name": point.name,
-                        "avg_cycles": round(point.avg_cycles, 3),
-                        "gate_equivalents": round(point.gate_equivalents, 1),
-                        "flip_flops": point.flip_flops,
-                        "pareto": point in frontier,
-                    }
-                    for point in sorted(
-                        points,
-                        key=lambda p: (p.avg_cycles, p.gate_equivalents, p.name),
-                    )
-                ]
-            with open(args.json, "w") as handle:
-                json.dump(summary, handle, indent=2)
-                handle.write("\n")
-            print(f"summary -> {os.path.abspath(args.json)}")
-        if args.differential and not result.differential_clean:
-            return 1
-        return 0
-
-    common = dict(
-        num_samples=args.samples,
-        kinds=args.kinds,
-        repetitions=args.repetitions,
-        seed=args.seed,
-        verify_functionally=not args.no_verify,
+    result = run_campaign(
+        cells,
         workers=args.workers,
         shards_per_cell=args.shards_per_cell,
         mp_start_method=args.mp_start_method,
-        differential=args.differential,
         cache=cache,
     )
-    if args.operations is not None:
-        # Operation axis: one cell group per (operation x format x
-        # workload-or-mix x solution), rendered as per-operation speedup
-        # tables.  Kinds default to the two verifiable Table IV rows — the
-        # dummy row measures multiply-shaped stub traffic and contributes
-        # nothing to a per-operation comparison.
-        result = run_operation_campaign(
-            args.operations,
-            formats=args.formats or ("decimal64",),
-            operand_classes=(
-                args.classes if args.classes is not None
-                else OperandClass.TABLE_IV_MIX
-            ),
-            workloads=args.workload,
-            **common,
-        )
-        tables = result.table_iv_by_operation()
-        print(reporting.render_operation_tables(result, tables=tables))
-        if len(tables) > 1:
-            print()
-            print(reporting.render_operation_matrix(result, tables=tables))
-    elif args.formats is not None:
-        # Explicit format axis: one cell group per (format x workload-or-mix
-        # x solution), rendered as per-format speedup tables.  In
-        # differential mode with no explicit workload list, every
-        # registered workload compatible with a requested format runs —
-        # the "does the whole pipeline generalise?" sweep.
-        workloads = args.workload
-        if args.differential and not workloads and args.classes is None:
-            workloads = tuple(sorted({
-                name
-                for fmt in args.formats
-                for name in workloads_for_format(fmt)
-            }))
-        result = run_format_campaign(
-            args.formats,
-            operand_classes=(
-                args.classes if args.classes is not None
-                else OperandClass.TABLE_IV_MIX
-            ),
-            workloads=workloads,
-            **common,
-        )
-        tables = result.table_iv_grouped()
-        print(reporting.render_format_tables(result, tables=tables))
-        if len(tables) > 1:
-            print()
-            print(reporting.render_format_matrix(result, tables=tables))
-    elif args.workload and len(args.workload) > 1:
-        result = run_workload_campaign(args.workload, **common)
-        tables = result.table_iv_by_workload()
-        print(reporting.render_workload_tables(result, tables=tables))
-        print()
-        print(reporting.render_workload_matrix(result, tables=tables))
+
+    if args.pipeline_sweep:
+        print(reporting.render_pipeline_frontier(result))
     else:
-        # Zero or one workload: a plain Table IV campaign.  With
-        # --workload paper-uniform this is bit-identical to the default
-        # class-mix path at the same seed.
-        workload = args.workload[0] if args.workload else None
-        result = run_table_iv_campaign(
-            operand_classes=(
-                args.classes if args.classes is not None
-                else OperandClass.TABLE_IV_MIX
-            ),
-            workload=workload,
-            **common,
-        )
-        tables = {workload: result.table_iv()}
-        if workload is None:
-            print(reporting.render_table_iv(tables[None]))
+        # One table per group of the most specific axis requested.
+        if args.operations is not None:
+            by = ("op", "fmt", "workload")
+        elif args.formats is not None:
+            by = ("fmt", "workload")
+        elif args.workload:
+            by = ("workload",)
         else:
-            # The paper's published rows only make sense next to the
-            # paper's own operand mix.
-            print(reporting.render_workload_tables(
-                result, include_paper=(workload == "paper-uniform"),
-                tables=tables,
-            ))
+            by = ()
+        tables = result.table_iv_by(*by)
+        # A cross-workload comparison shows measured rows only.
+        print(reporting.render_tables(
+            result, by, include_paper=by != ("workload",) or len(tables) == 1
+        ))
+        if len(tables) > 1:
+            print()
+            print(reporting.render_matrix(result, by))
     if args.differential:
         print()
         print(reporting.render_differential(result))
@@ -497,25 +293,15 @@ def main(argv=None) -> int:
         print(_render_cache_line(result, cache))
     if args.json:
         summary = result.to_summary()
-        if args.operations is not None:
+        if args.pipeline_sweep:
+            summary["pipeline_frontier"] = frontier_summary(result)
+        elif by:
             summary["table_iv_rows"] = {
-                f"{op}/{fmt}/{workload or 'default'}": table.rows()
-                for (op, fmt, workload), table in tables.items()
-            }
-        elif args.formats is not None:
-            summary["table_iv_rows"] = {
-                f"{fmt}/{workload or 'default'}": table.rows()
-                for (fmt, workload), table in tables.items()
+                "/".join(value or "default" for value in key): table.rows()
+                for key, table in tables.items()
             }
         else:
-            summary["table_iv_rows"] = {
-                workload or "default": table.rows()
-                for workload, table in tables.items()
-            }
-            if not args.workload:
-                # Pre-workload schema: a single default campaign keeps its
-                # rows as a flat list.
-                summary["table_iv_rows"] = summary["table_iv_rows"]["default"]
+            summary["table_iv_rows"] = tables[()].rows()
         with open(args.json, "w") as handle:
             json.dump(summary, handle, indent=2)
             handle.write("\n")

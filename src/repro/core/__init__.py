@@ -27,12 +27,12 @@ from repro.core.results import (
 )
 from repro.core.evaluation import EvaluationFramework, run_solution_shard
 from repro.core.campaign import (
+    Axes,
     CampaignCell,
     CampaignResult,
     plan_shards,
     run_campaign,
     run_table_iv_campaign,
-    table_iv_cells,
 )
 from repro.core.method1 import Method1HostModel, DummyHardware, FunctionalHardware
 from repro.core.software_baseline import SoftwareBaseline
@@ -43,12 +43,12 @@ from repro.core import reporting
 __all__ = [
     "CoDesignSolution",
     "standard_solutions",
+    "Axes",
     "CampaignCell",
     "CampaignResult",
     "plan_shards",
     "run_campaign",
     "run_table_iv_campaign",
-    "table_iv_cells",
     "run_solution_shard",
     "merge_shard_reports",
     "ShardCycleReport",

@@ -48,7 +48,9 @@ from repro.core.results import (
     merge_shard_reports,
 )
 from repro.core.solution import CoDesignSolution, standard_solutions
-from repro.errors import ConfigurationError
+from repro.decnumber.formats import resolve_format_name
+from repro.decnumber.operations import resolve_operation_name
+from repro.errors import ConfigurationError, DecimalError
 from repro.rocket.config import RocketConfig
 from repro.testgen.config import SolutionKind
 from repro.verification.database import OperandClass, VerificationDatabase
@@ -134,6 +136,15 @@ class CampaignCell:
             fmt=self.fmt,
             operation=self.op,
         )
+
+
+#: The cell axes a campaign result can be grouped by, with their plurals.
+_AXIS_PLURALS = {"op": "operations", "fmt": "formats", "workload": "workloads"}
+
+
+def _distinct(cells, axis: str) -> tuple:
+    """Distinct values of one cell axis, in first-seen order."""
+    return tuple(dict.fromkeys(getattr(cell, axis) for cell in cells))
 
 
 def plan_shards(num_samples: int, shards: int) -> list:
@@ -264,47 +275,32 @@ class CampaignResult:
         or multi-operation campaign rather than silently picking the first.
         ``fmt`` and ``op`` accept aliases ("quad", "mul", "mac").
         """
-        if fmt is not None:
-            from repro.decnumber.formats import resolve_format_name
-
-            fmt = resolve_format_name(fmt)
-        if op is not None:
-            from repro.decnumber.operations import resolve_operation_name
-
-            op = resolve_operation_name(op)
+        wanted = {
+            "workload": workload,
+            "fmt": None if fmt is None else resolve_format_name(fmt),
+            "op": None if op is None else resolve_operation_name(op),
+        }
         matches = [
             (cell, report)
             for cell, report in zip(self.cells, self.reports)
             if cell.solution.kind == kind
-            and (workload is None or cell.workload == workload)
-            and (fmt is None or cell.fmt == fmt)
-            and (op is None or cell.op == op)
+            and all(value is None or getattr(cell, axis) == value
+                    for axis, value in wanted.items())
         ]
         if not matches:
             raise ConfigurationError(
                 f"no campaign cell evaluated kind {kind!r}"
-                + (f" with workload {workload!r}" if workload else "")
-                + (f" under format {fmt!r}" if fmt else "")
-                + (f" for operation {op!r}" if op else "")
+                + "".join(f" with {axis}={value!r}"
+                          for axis, value in wanted.items() if value)
             )
-        if workload is None and len({cell.workload for cell, _ in matches}) > 1:
-            raise ConfigurationError(
-                f"kind {kind!r} was evaluated under several workloads "
-                f"({sorted(str(cell.workload) for cell, _ in matches)}); "
-                "pass report_for(kind, workload=...)"
-            )
-        if fmt is None and len({cell.fmt for cell, _ in matches}) > 1:
-            raise ConfigurationError(
-                f"kind {kind!r} was evaluated under several formats "
-                f"({sorted(cell.fmt for cell, _ in matches)}); "
-                "pass report_for(kind, fmt=...)"
-            )
-        if op is None and len({cell.op for cell, _ in matches}) > 1:
-            raise ConfigurationError(
-                f"kind {kind!r} was evaluated under several operations "
-                f"({sorted(cell.op for cell, _ in matches)}); "
-                "pass report_for(kind, op=...)"
-            )
+        for axis, value in wanted.items():
+            seen = _distinct([cell for cell, _ in matches], axis)
+            if value is None and len(seen) > 1:
+                raise ConfigurationError(
+                    f"kind {kind!r} was evaluated under several "
+                    f"{_AXIS_PLURALS[axis]} ({sorted(map(str, seen))}); "
+                    f"pass report_for(kind, {axis}=...)"
+                )
         return matches[0][1]
 
     @property
@@ -313,147 +309,66 @@ class CampaignResult:
 
         Cells without a workload (legacy class-mix cells) appear as ``None``.
         """
-        seen = []
-        for cell in self.cells:
-            if cell.workload not in seen:
-                seen.append(cell.workload)
-        return tuple(seen)
+        return _distinct(self.cells, "workload")
 
     @property
     def formats(self) -> tuple:
         """Distinct interchange formats of the cells, in first-seen order."""
-        seen = []
-        for cell in self.cells:
-            if cell.fmt not in seen:
-                seen.append(cell.fmt)
-        return tuple(seen)
+        return _distinct(self.cells, "fmt")
 
     @property
     def operations(self) -> tuple:
         """Distinct decimal operations of the cells, in first-seen order."""
-        seen = []
-        for cell in self.cells:
-            if cell.op not in seen:
-                seen.append(cell.op)
-        return tuple(seen)
+        return _distinct(self.cells, "op")
 
     def table_iv(self, baseline_kind: str = None) -> TableIVReport:
-        """The campaign's rows as a Table IV report (one cell per kind)."""
-        kinds = [cell.solution.kind for cell in self.cells]
-        if len(set(kinds)) != len(kinds):
-            raise ConfigurationError(
-                "table_iv() needs one cell per solution kind; this campaign "
-                f"evaluated {kinds} (use table_iv_by_workload() for multi-"
-                "workload campaigns, .reports for sweep-style ones)"
-            )
-        report = TableIVReport(
-            num_samples=max((c.num_samples for c in self.cells), default=0),
-            baseline_kind=baseline_kind or self.baseline_kind,
-        )
-        for cell, cycle_report in zip(self.cells, self.reports):
-            report.reports[cell.solution.kind] = cycle_report
-        return report
+        """The campaign's rows as one Table IV report (one cell per kind)."""
+        grouped = self.table_iv_by(baseline_kind=baseline_kind)
+        return grouped.get((), TableIVReport(
+            num_samples=0, baseline_kind=baseline_kind or self.baseline_kind
+        ))
 
-    def table_iv_by_workload(self, baseline_kind: str = None) -> dict:
-        """One Table IV report per evaluated workload (keyed by name).
+    def table_iv_by(self, *axes: str, baseline_kind: str = None) -> dict:
+        """One Table IV report per distinct value of the cell ``axes``.
 
-        A multi-workload campaign holds one cell per (solution × workload);
-        this groups its rows so each workload renders as its own table and
-        speedups are computed against that workload's own baseline run.
-        Raises on multi-format campaigns — group those with
-        :meth:`table_iv_grouped` instead.
+        ``axes`` name cell fields among ``"op"``, ``"fmt"`` and
+        ``"workload"``; keys are tuples of their values in first-seen
+        order, and each group's speedups are computed against the group's
+        own baseline run.  ``table_iv_by()`` is the whole campaign as one
+        group.  A group holding two cells of one solution kind raises: the
+        campaign varies over an axis the grouping leaves out.
         """
-        if len(self.formats) > 1:
+        unknown = [axis for axis in axes if axis not in _AXIS_PLURALS]
+        if unknown:
             raise ConfigurationError(
-                "table_iv_by_workload() is ambiguous over formats "
-                f"{self.formats}; use table_iv_grouped()"
-            )
-        if len(self.operations) > 1:
-            raise ConfigurationError(
-                "table_iv_by_workload() is ambiguous over operations "
-                f"{self.operations}; use table_iv_by_operation()"
+                f"cannot group by {unknown}; choose from {tuple(_AXIS_PLURALS)}"
             )
         grouped: dict = {}
+        rows: dict = {}
         for cell, cycle_report in zip(self.cells, self.reports):
-            table = grouped.setdefault(
-                cell.workload,
-                TableIVReport(
-                    num_samples=cell.num_samples,
-                    baseline_kind=baseline_kind or self.baseline_kind,
-                ),
-            )
-            if cell.solution.kind in table.reports:
+            key = tuple(getattr(cell, axis) for axis in axes)
+            table = grouped.setdefault(key, TableIVReport(
+                num_samples=cell.num_samples,
+                baseline_kind=baseline_kind or self.baseline_kind,
+            ))
+            kind = cell.solution.kind
+            earlier = rows.setdefault(key, {}).setdefault(kind, cell)
+            if earlier is not cell:
+                differing = [axis for axis in _AXIS_PLURALS
+                             if getattr(earlier, axis) != getattr(cell, axis)]
                 raise ConfigurationError(
-                    f"workload {cell.workload!r} has duplicate cells for "
-                    f"kind {cell.solution.kind!r}"
+                    f"cell group {key!r} has more than one {kind!r} cell"
+                    + (f" (they differ in {', '.join(differing)}; group by "
+                       "that axis too)" if differing else "")
                 )
-            table.reports[cell.solution.kind] = cycle_report
-            table.num_samples = max(table.num_samples, cell.num_samples)
-        return grouped
-
-    def table_iv_grouped(self, baseline_kind: str = None) -> dict:
-        """One Table IV report per (format, workload) cell group.
-
-        The fully general grouping: keys are ``(fmt, workload)`` tuples in
-        first-seen order, each holding that group's solution rows, so a
-        ``--format decimal64,decimal128`` campaign renders one speedup
-        table per format (per workload) with speedups computed against the
-        group's own baseline run.  Raises on multi-operation campaigns —
-        group those with :meth:`table_iv_by_operation` instead (the keys
-        here stay ``(fmt, workload)`` so multiply-only callers are
-        unaffected by the operation axis).
-        """
-        if len(self.operations) > 1:
-            raise ConfigurationError(
-                "table_iv_grouped() is ambiguous over operations "
-                f"{self.operations}; use table_iv_by_operation()"
-            )
-        grouped: dict = {}
-        for cell, cycle_report in zip(self.cells, self.reports):
-            key = (cell.fmt, cell.workload)
-            table = grouped.setdefault(
-                key,
-                TableIVReport(
-                    num_samples=cell.num_samples,
-                    baseline_kind=baseline_kind or self.baseline_kind,
-                ),
-            )
-            if cell.solution.kind in table.reports:
-                raise ConfigurationError(
-                    f"cell group {key!r} has duplicate cells for kind "
-                    f"{cell.solution.kind!r}"
-                )
-            table.reports[cell.solution.kind] = cycle_report
+            table.reports[kind] = cycle_report
             table.num_samples = max(table.num_samples, cell.num_samples)
         return grouped
 
     def table_iv_by_operation(self, baseline_kind: str = None) -> dict:
-        """One Table IV report per (operation, format, workload) cell group.
-
-        The operation-axis grouping behind ``python -m repro.campaign
-        --op mul,add,fma``: keys are ``(op, fmt, workload)`` tuples in
-        first-seen order, each holding that group's solution rows, so every
-        operation renders its own speedup table (per format, per workload)
-        against the group's own baseline run.
-        """
-        grouped: dict = {}
-        for cell, cycle_report in zip(self.cells, self.reports):
-            key = (cell.op, cell.fmt, cell.workload)
-            table = grouped.setdefault(
-                key,
-                TableIVReport(
-                    num_samples=cell.num_samples,
-                    baseline_kind=baseline_kind or self.baseline_kind,
-                ),
-            )
-            if cell.solution.kind in table.reports:
-                raise ConfigurationError(
-                    f"cell group {key!r} has duplicate cells for kind "
-                    f"{cell.solution.kind!r}"
-                )
-            table.reports[cell.solution.kind] = cycle_report
-            table.num_samples = max(table.num_samples, cell.num_samples)
-        return grouped
+        """``table_iv_by("op", "fmt", "workload")``."""
+        return self.table_iv_by("op", "fmt", "workload",
+                                baseline_kind=baseline_kind)
 
     def to_summary(self) -> dict:
         """JSON-ready summary (used by the CLI and the campaign benchmark)."""
@@ -609,311 +524,223 @@ def run_campaign(
     )
 
 
-def table_iv_cells(
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    workload: str = None,
-    differential: bool = False,
-    fmt: str = "decimal64",
-    op: str = "multiply",
-) -> list:
-    """One campaign cell per Table IV solution kind."""
-    kinds = kinds or (
-        SolutionKind.METHOD1,
-        SolutionKind.SOFTWARE,
-        SolutionKind.METHOD1_DUMMY,
-    )
-    solutions = solutions if solutions is not None else standard_solutions()
-    return [
-        CampaignCell(
-            solution=solutions[kind],
-            num_samples=num_samples,
-            operand_classes=tuple(operand_classes),
-            repetitions=repetitions,
-            seed=seed,
-            rocket_config=(
-                rocket_config if rocket_config is not None else RocketConfig()
-            ),
-            verify_functionally=verify_functionally,
-            workload=workload,
-            differential=differential,
-            fmt=fmt,
-            op=op,
-        )
-        for kind in kinds
-    ]
 
 
-def workload_cells(
-    workloads,
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    differential: bool = False,
-    fmt: str = "decimal64",
-    op: str = "multiply",
-) -> list:
-    """One campaign cell per (solution kind × workload name).
+#: The paper's Table IV rows, in the paper's order.
+TABLE_IV_KINDS = (
+    SolutionKind.METHOD1,
+    SolutionKind.SOFTWARE,
+    SolutionKind.METHOD1_DUMMY,
+)
+#: Default rows of an operation sweep: the two *verifiable* Table IV kinds.
+#: The dummy row measures multiply-shaped stub traffic and contributes
+#: nothing to a per-operation speedup comparison.
+OPERATION_KINDS = (SolutionKind.METHOD1, SolutionKind.SOFTWARE)
 
-    The cell grid this returns is what ``python -m repro.campaign
-    --workload a,b,c`` runs: every named scenario is evaluated with every
-    solution kind over the same shard plan, so
-    :meth:`CampaignResult.table_iv_by_workload` can render one table per
-    workload and the speedup comparison across them.
-    """
-    workloads = list(workloads)
-    if not workloads:
-        raise ConfigurationError("workload_cells needs at least one workload")
-    cells = []
-    for workload in workloads:
-        cells.extend(
-            table_iv_cells(
-                num_samples=num_samples,
-                kinds=kinds,
-                repetitions=repetitions,
-                seed=seed,
-                rocket_config=rocket_config,
-                verify_functionally=verify_functionally,
-                solutions=solutions,
-                workload=workload,
-                differential=differential,
-                fmt=fmt,
-                op=op,
+
+def _integer(value, what: str, minimum: int = None) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{what} must be an integer, got {value!r}"
+        ) from None
+    if minimum is not None and number < minimum:
+        raise ConfigurationError(f"{what} must be at least {minimum}, got {number}")
+    return number
+
+
+def _choice(allowed: tuple, noun: str):
+    def resolve(value):
+        if value not in allowed:
+            raise ConfigurationError(
+                f"unknown {noun} {value!r} (choose from {allowed})"
             )
-        )
-    return cells
+        return value
+
+    return resolve
 
 
-def format_cells(
-    formats,
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    workloads=None,
-    differential: bool = False,
-    op: str = "multiply",
-) -> list:
-    """One campaign cell per (format × workload-or-mix × solution kind).
-
-    The cell grid behind ``python -m repro.campaign --format
-    decimal64,decimal128``: every named interchange format is evaluated
-    with every solution kind, optionally crossed with a workload list.
-    ``workloads`` entries not supporting a format are skipped for that
-    format (e.g. a decimal64-only third-party scenario in a two-format
-    sweep); a workload supported by *no* requested format raises.
-    """
+def _workload(name) -> str:
     from repro.workloads import get_workload
 
-    formats = list(formats)
-    if not formats:
-        raise ConfigurationError("format_cells needs at least one format")
-    cells = []
-    if workloads:
-        workloads = list(workloads)
-        for name in workloads:
-            workload = get_workload(name)
-            if not any(workload.supports_format(fmt) for fmt in formats):
-                raise ConfigurationError(
-                    f"workload {name!r} supports none of the requested "
-                    f"formats {formats} (declares {workload.formats})"
-                )
-    for fmt in formats:
-        if workloads:
-            for name in workloads:
-                if not get_workload(name).supports_format(fmt):
-                    continue
-                cells.extend(
-                    table_iv_cells(
-                        num_samples=num_samples,
-                        kinds=kinds,
-                        repetitions=repetitions,
-                        seed=seed,
-                        rocket_config=rocket_config,
-                        verify_functionally=verify_functionally,
-                        solutions=solutions,
-                        workload=name,
-                        differential=differential,
-                        fmt=fmt,
-                        op=op,
-                    )
-                )
-        else:
-            cells.extend(
-                table_iv_cells(
-                    num_samples=num_samples,
-                    kinds=kinds,
-                    repetitions=repetitions,
-                    seed=seed,
-                    operand_classes=operand_classes,
-                    rocket_config=rocket_config,
-                    verify_functionally=verify_functionally,
-                    solutions=solutions,
-                    differential=differential,
-                    fmt=fmt,
-                    op=op,
-                )
-            )
-    return cells
+    if not isinstance(name, str):
+        raise ConfigurationError(f"workload names must be strings, got {name!r}")
+    get_workload(name)  # unknown names get the registry's did-you-mean
+    return name
 
 
-def run_format_campaign(
-    formats,
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    workloads=None,
-    workers: int = 1,
-    shards_per_cell: int = 1,
-    mp_start_method: str = None,
-    differential: bool = False,
-    op: str = "multiply",
-    cache=None,
-) -> CampaignResult:
-    """Fan (format × workload × solution) cells over the campaign engine."""
-    cells = format_cells(
-        formats,
-        num_samples=num_samples,
-        kinds=kinds,
-        repetitions=repetitions,
-        seed=seed,
-        operand_classes=operand_classes,
-        rocket_config=rocket_config,
-        verify_functionally=verify_functionally,
-        solutions=solutions,
-        workloads=workloads,
-        differential=differential,
-        op=op,
-    )
-    return run_campaign(
-        cells,
-        workers=workers,
-        shards_per_cell=shards_per_cell,
-        mp_start_method=mp_start_method,
-        cache=cache,
-    )
+def _decimal_name(resolve):
+    def resolved(name) -> str:
+        try:
+            return resolve(name)
+        except DecimalError as error:
+            raise ConfigurationError(str(error)) from None
+
+    return resolved
 
 
-def operation_cells(
-    operations,
-    formats=("decimal64",),
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    workloads=None,
-    differential: bool = False,
-) -> list:
-    """One campaign cell per (operation × format × workload-or-mix × kind).
+#: Every list axis of :class:`Axes`: (resolver of one value, noun).
+_LIST_AXES = {
+    "kinds": (_choice(SolutionKind.ALL, "solution kind"), "solution kind"),
+    "depths": (lambda value: _integer(value, "depth", 1), "depth"),
+    "widths": (lambda value: _integer(value, "width", 1), "width"),
+    "formats": (_decimal_name(resolve_format_name), "format name"),
+    "operations": (_decimal_name(resolve_operation_name), "operation name"),
+    "workloads": (_workload, "workload name"),
+    "operand_classes": (_choice(OperandClass.ALL, "operand class"),
+                        "operand class"),
+}
 
-    The cell grid behind ``python -m repro.campaign --op mul,add,fma``:
-    every requested decimal operation is evaluated with every solution kind
-    under every requested format, optionally crossed with a workload list.
-    ``kinds`` defaults to the two *verifiable* Table IV kinds (method1 and
-    the software baseline) — the dummy row measures multiply-shaped stub
-    traffic and contributes nothing to a per-operation speedup comparison,
-    but can be requested explicitly.  Workload entries not supporting an
-    (operation, format) pair are skipped for that pair; a workload
-    supported by *no* requested combination raises.
+
+def axis_values(axis: str, values) -> tuple:
+    """Validate one list axis of :class:`Axes`: canonical, non-empty, unique.
+
+    The CLI's comma-separated flags and the service's JSON spec fields both
+    go through this one validator, so they accept exactly the same values.
+    Aliases resolve to canonical names ("mul" -> "multiply", "quad" ->
+    "decimal128"); anything else raises :class:`ConfigurationError`.
     """
-    from repro.decnumber.operations import resolve_operation_name
-    from repro.errors import DecimalError
+    resolve, noun = _LIST_AXES[axis]
+    if isinstance(values, str) or not isinstance(values, (list, tuple)):
+        raise ConfigurationError(f"{axis} must be a list of {noun}s, got {values!r}")
+    resolved = tuple(resolve(value) for value in values)
+    if not resolved:
+        raise ConfigurationError(f"at least one {noun} is required")
+    duplicates = sorted({str(value) for value in resolved
+                         if resolved.count(value) > 1})
+    if duplicates:
+        raise ConfigurationError(f"duplicate {noun}(s): {', '.join(duplicates)}")
+    return resolved
 
-    operations = list(operations)
-    if not operations:
-        raise ConfigurationError("operation_cells needs at least one operation")
-    try:
-        operations = [resolve_operation_name(name) for name in operations]
-    except DecimalError as error:
-        raise ConfigurationError(str(error)) from None
-    formats = list(formats)
-    if not formats:
-        raise ConfigurationError("operation_cells needs at least one format")
-    kinds = kinds or (SolutionKind.METHOD1, SolutionKind.SOFTWARE)
-    cells = []
-    if workloads:
+
+@dataclass(frozen=True)
+class Axes:
+    """The axes of one campaign: the only place cells are expanded.
+
+    The list axes are the solution ``kinds`` — or, with ``depths`` and
+    ``widths``, the staged-pipeline design points of Method-1 plus the
+    software baseline — the interchange ``formats``, the decimal
+    ``operations``, and either registered ``workloads`` or an
+    ``operand_classes`` mix.  The scalar fields apply to every cell.
+    Construction validates and canonicalises every list axis through
+    :func:`axis_values`, so an ``Axes`` built from CLI flags and one built
+    from a service spec cannot disagree about what is valid.
+    """
+
+    kinds: tuple = None            # None: the three Table IV rows
+    depths: tuple = None           # pipeline sweep, together with widths
+    widths: tuple = None
+    formats: tuple = ("decimal64",)
+    operations: tuple = ("multiply",)
+    workloads: tuple = None        # None: the operand_classes mix
+    operand_classes: tuple = None  # None: OperandClass.TABLE_IV_MIX
+    num_samples: int = 100
+    seed: int = 2018
+    repetitions: int = 1
+    verify_functionally: bool = True
+    differential: bool = False
+    rocket_config: RocketConfig = None
+    solutions: dict = None
+
+    def __post_init__(self) -> None:
+        sweep = self.depths is not None or self.widths is not None
+        if sweep and (self.depths is None or self.widths is None):
+            raise ConfigurationError("a pipeline sweep needs depths and widths")
+        if sweep and self.kinds is not None:
+            raise ConfigurationError(
+                "kinds and a pipeline sweep are mutually exclusive: the sweep "
+                "defines its own design points (Method-1 variants + baseline)"
+            )
+        if sweep and self.workloads is not None:
+            raise ConfigurationError(
+                "workloads and a pipeline sweep are mutually exclusive: the "
+                "sweep measures the operand-class mix per design point"
+            )
+        if self.workloads is not None and self.operand_classes is not None:
+            raise ConfigurationError(
+                "classes and workloads are mutually exclusive: a workload "
+                "defines its own operand distribution"
+            )
+        for axis in _LIST_AXES:
+            if getattr(self, axis) is not None:
+                object.__setattr__(
+                    self, axis, axis_values(axis, getattr(self, axis))
+                )
+        for name, what in (("num_samples", "samples"), ("seed", "seed"),
+                           ("repetitions", "repetitions")):
+            object.__setattr__(self, name, _integer(getattr(self, name), what))
+
+    def _design_points(self, solutions: dict, op: str, fmt: str) -> list:
+        """``(solution, label)`` per row of one (operation, format) group."""
+        if self.depths is None:
+            return [(solutions[kind], "") for kind in self.kinds or TABLE_IV_KINDS]
+        from repro.core.solution import microarchitecture_variants
+
+        points = [solutions[SolutionKind.SOFTWARE]]
+        points.extend(microarchitecture_variants(self.depths, self.widths, fmt=fmt))
+        # Sweep labels name the design point and always show op and format.
+        suffix = " [diff]" if self.differential else ""
+        return [(point, f"{point.name} ({op}) [{fmt}]{suffix}") for point in points]
+
+    def cells(self) -> list:
+        """The campaign cells, ordered op × fmt × workload × solution.
+
+        A workload is skipped for every (operation, format) pair it does
+        not declare; a workload declaring none of the requested pairs
+        raises rather than silently vanishing from the campaign.
+        """
         from repro.workloads import get_workload
 
-        workloads = list(workloads)
-        for name in workloads:
+        pairs = [(op, fmt) for op in self.operations for fmt in self.formats]
+
+        def supports(name, op, fmt) -> bool:
+            if name is None:
+                return True
             workload = get_workload(name)
-            if not any(
-                workload.supports_format(fmt) and workload.supports_operation(op)
-                for fmt in formats
-                for op in operations
-            ):
+            return workload.supports_format(fmt) and workload.supports_operation(op)
+
+        for name in self.workloads or ():
+            if not any(supports(name, op, fmt) for op, fmt in pairs):
+                workload = get_workload(name)
                 raise ConfigurationError(
                     f"workload {name!r} supports none of the requested "
                     f"(operation, format) combinations "
-                    f"({operations} x {formats}; declares "
-                    f"{workload.operations} x {workload.formats})"
+                    f"({list(self.operations)} x {list(self.formats)}; "
+                    f"declares {workload.operations} x {workload.formats})"
                 )
-        for op in operations:
-            for fmt in formats:
-                for name in workloads:
-                    workload = get_workload(name)
-                    if not (
-                        workload.supports_format(fmt)
-                        and workload.supports_operation(op)
-                    ):
-                        continue
-                    cells.extend(
-                        table_iv_cells(
-                            num_samples=num_samples,
-                            kinds=kinds,
-                            repetitions=repetitions,
-                            seed=seed,
-                            rocket_config=rocket_config,
-                            verify_functionally=verify_functionally,
-                            solutions=solutions,
-                            workload=name,
-                            differential=differential,
-                            fmt=fmt,
-                            op=op,
-                        )
+        solutions = (
+            self.solutions if self.solutions is not None else standard_solutions()
+        )
+        rocket_config = (
+            self.rocket_config if self.rocket_config is not None else RocketConfig()
+        )
+        cells = []
+        for op, fmt in pairs:
+            points = self._design_points(solutions, op, fmt)
+            for name in self.workloads or (None,):
+                if not supports(name, op, fmt):
+                    continue
+                cells.extend(
+                    CampaignCell(
+                        solution=solution,
+                        num_samples=self.num_samples,
+                        operand_classes=(
+                            self.operand_classes or OperandClass.TABLE_IV_MIX
+                        ),
+                        repetitions=self.repetitions,
+                        seed=self.seed,
+                        rocket_config=rocket_config,
+                        verify_functionally=self.verify_functionally,
+                        label=label,
+                        workload=name,
+                        differential=self.differential,
+                        fmt=fmt,
+                        op=op,
                     )
-        return cells
-    for op in operations:
-        for fmt in formats:
-            cells.extend(
-                table_iv_cells(
-                    num_samples=num_samples,
-                    kinds=kinds,
-                    repetitions=repetitions,
-                    seed=seed,
-                    operand_classes=operand_classes,
-                    rocket_config=rocket_config,
-                    verify_functionally=verify_functionally,
-                    solutions=solutions,
-                    differential=differential,
-                    fmt=fmt,
-                    op=op,
+                    for solution, label in points
                 )
-            )
-    return cells
+        return cells
 
 
 def run_operation_campaign(
@@ -934,193 +761,28 @@ def run_operation_campaign(
     differential: bool = False,
     cache=None,
 ) -> CampaignResult:
-    """Fan (operation × format × workload × solution) cells over the engine.
+    """Run an (operation × format × workload-or-mix × kind) campaign.
 
-    The default grid of ``--op mul,add,fma --format decimal64,decimal128
-    --differential`` is 3 operations × 2 formats × 2 verifiable kinds =
-    12 differential cells, each dual-oracle checked and cross-model
-    diffed; :meth:`CampaignResult.table_iv_by_operation` then renders one
-    speedup table per (operation, format) group.
+    ``kinds`` defaults to :data:`OPERATION_KINDS`; group the result with
+    :meth:`CampaignResult.table_iv_by_operation`.
     """
-    cells = operation_cells(
-        operations,
-        formats=formats,
-        num_samples=num_samples,
-        kinds=kinds,
-        repetitions=repetitions,
-        seed=seed,
-        operand_classes=operand_classes,
-        rocket_config=rocket_config,
-        verify_functionally=verify_functionally,
-        solutions=solutions,
-        workloads=workloads,
-        differential=differential,
-    )
-    return run_campaign(
-        cells,
-        workers=workers,
-        shards_per_cell=shards_per_cell,
-        mp_start_method=mp_start_method,
-        cache=cache,
-    )
-
-
-def pipeline_sweep_cells(
-    depths=(1, 2, 4, 8),
-    widths=(1, 2, 4),
-    formats=("decimal64",),
-    operations=("multiply",),
-    num_samples: int = 100,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    differential: bool = False,
-    include_baseline: bool = True,
-) -> list:
-    """One campaign cell per (operation × format × pipeline design point).
-
-    The cell grid behind ``python -m repro.campaign --pipeline-sweep``:
-    every (depth, width) microarchitecture variant of Method-1 — plus the
-    software baseline as the zero-hardware reference — is evaluated per
-    requested operation and format over the same shard plan, so the CLI can
-    render one cycles-vs-area Pareto frontier per group (docs/pipeline.md).
-    The default grid is 4 depths × 3 widths + baseline = 13 design points
-    per group.
-    """
-    from repro.core.solution import microarchitecture_variants
-    from repro.decnumber.operations import resolve_operation_name
-    from repro.errors import DecimalError
-
-    operations = list(operations)
-    formats = list(formats)
-    if not operations:
-        raise ConfigurationError("pipeline_sweep_cells needs at least one operation")
-    if not formats:
-        raise ConfigurationError("pipeline_sweep_cells needs at least one format")
-    try:
-        operations = [resolve_operation_name(name) for name in operations]
-    except DecimalError as error:
-        raise ConfigurationError(str(error)) from None
-    baseline = standard_solutions()[SolutionKind.SOFTWARE]
-    cells = []
-    for op in operations:
-        for fmt in formats:
-            solutions = [baseline] if include_baseline else []
-            solutions.extend(microarchitecture_variants(depths, widths, fmt=fmt))
-            for solution in solutions:
-                label = f"{solution.name} ({op}) [{fmt}]"
-                if differential:
-                    label += " [diff]"
-                cells.append(
-                    CampaignCell(
-                        solution=solution,
-                        num_samples=num_samples,
-                        operand_classes=tuple(operand_classes),
-                        repetitions=repetitions,
-                        seed=seed,
-                        rocket_config=(
-                            rocket_config
-                            if rocket_config is not None
-                            else RocketConfig()
-                        ),
-                        verify_functionally=verify_functionally,
-                        differential=differential,
-                        fmt=fmt,
-                        op=op,
-                        label=label,
-                    )
-                )
-    return cells
-
-
-def run_pipeline_sweep_campaign(
-    depths=(1, 2, 4, 8),
-    widths=(1, 2, 4),
-    formats=("decimal64",),
-    operations=("multiply",),
-    num_samples: int = 100,
-    repetitions: int = 1,
-    seed: int = 2018,
-    operand_classes=OperandClass.TABLE_IV_MIX,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    differential: bool = False,
-    include_baseline: bool = True,
-    workers: int = 1,
-    shards_per_cell: int = 1,
-    mp_start_method: str = None,
-    cache=None,
-) -> CampaignResult:
-    """Fan the pipeline design-space grid over the campaign engine.
-
-    The design-space study ROADMAP item 2 asks for: each cell measures one
-    staged-pipeline microarchitecture (cycles) whose area comes straight
-    off its pinned configuration; ``repro.core.pareto.points_from_campaign``
-    turns the result into per-group Pareto point clouds.
-    """
-    cells = pipeline_sweep_cells(
-        depths=depths,
-        widths=widths,
+    axes = Axes(
+        kinds=kinds or OPERATION_KINDS,
         formats=formats,
         operations=operations,
+        workloads=workloads or None,
+        operand_classes=None if workloads else operand_classes,
         num_samples=num_samples,
-        repetitions=repetitions,
         seed=seed,
-        operand_classes=operand_classes,
-        rocket_config=rocket_config,
+        repetitions=repetitions,
         verify_functionally=verify_functionally,
         differential=differential,
-        include_baseline=include_baseline,
-    )
-    return run_campaign(
-        cells,
-        workers=workers,
-        shards_per_cell=shards_per_cell,
-        mp_start_method=mp_start_method,
-        cache=cache,
-    )
-
-
-def run_workload_campaign(
-    workloads,
-    num_samples: int = 100,
-    kinds=None,
-    repetitions: int = 1,
-    seed: int = 2018,
-    rocket_config: RocketConfig = None,
-    verify_functionally: bool = True,
-    solutions: dict = None,
-    workers: int = 1,
-    shards_per_cell: int = 1,
-    mp_start_method: str = None,
-    differential: bool = False,
-    fmt: str = "decimal64",
-    op: str = "multiply",
-    cache=None,
-) -> CampaignResult:
-    """Fan (solution × workload) cells over the sharded campaign engine."""
-    cells = workload_cells(
-        workloads,
-        num_samples=num_samples,
-        kinds=kinds,
-        repetitions=repetitions,
-        seed=seed,
         rocket_config=rocket_config,
-        verify_functionally=verify_functionally,
         solutions=solutions,
-        differential=differential,
-        fmt=fmt,
-        op=op,
     )
-    return run_campaign(
-        cells,
-        workers=workers,
-        shards_per_cell=shards_per_cell,
-        mp_start_method=mp_start_method,
-        cache=cache,
-    )
+    return run_campaign(axes.cells(), workers=workers,
+                        shards_per_cell=shards_per_cell,
+                        mp_start_method=mp_start_method, cache=cache)
 
 
 def run_table_iv_campaign(
@@ -1142,24 +804,20 @@ def run_table_iv_campaign(
     cache=None,
 ) -> CampaignResult:
     """Convenience wrapper: plan, run and merge a Table IV campaign."""
-    cells = table_iv_cells(
+    axes = Axes(
+        kinds=kinds or None,
+        formats=(fmt,),
+        operations=(op,),
+        workloads=None if workload is None else (workload,),
+        operand_classes=operand_classes if workload is None else None,
         num_samples=num_samples,
-        kinds=kinds,
-        repetitions=repetitions,
         seed=seed,
-        operand_classes=operand_classes,
-        rocket_config=rocket_config,
+        repetitions=repetitions,
         verify_functionally=verify_functionally,
-        solutions=solutions,
-        workload=workload,
         differential=differential,
-        fmt=fmt,
-        op=op,
+        rocket_config=rocket_config,
+        solutions=solutions,
     )
-    return run_campaign(
-        cells,
-        workers=workers,
-        shards_per_cell=shards_per_cell,
-        mp_start_method=mp_start_method,
-        cache=cache,
-    )
+    return run_campaign(axes.cells(), workers=workers,
+                        shards_per_cell=shards_per_cell,
+                        mp_start_method=mp_start_method, cache=cache)

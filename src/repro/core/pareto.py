@@ -78,6 +78,30 @@ def points_from_campaign(result) -> dict:
     return groups
 
 
+def frontier_summary(result) -> dict:
+    """JSON form of a sweep's design points per ``"op/fmt"`` group.
+
+    Points are sorted by cycles, then area, then name, and each carries
+    its frontier membership (the ``--pipeline-sweep --json`` schema).
+    """
+    summary = {}
+    for (op, fmt), points in points_from_campaign(result).items():
+        frontier = frontier_of(points)
+        summary[f"{op}/{fmt}"] = [
+            {
+                "name": point.name,
+                "avg_cycles": round(point.avg_cycles, 3),
+                "gate_equivalents": round(point.gate_equivalents, 1),
+                "flip_flops": point.flip_flops,
+                "pareto": point in frontier,
+            }
+            for point in sorted(
+                points, key=lambda p: (p.avg_cycles, p.gate_equivalents, p.name)
+            )
+        ]
+    return summary
+
+
 @dataclass
 class ParetoAnalyzer:
     """Evaluates a family of solutions and reports the Pareto frontier."""
@@ -169,7 +193,6 @@ class ParetoAnalyzer:
         self,
         depths=(1, 2, 4, 8),
         widths=(1, 2, 4),
-        include_baseline: bool = True,
         workers: int = 1,
         shards_per_cell: int = 1,
     ) -> list:
@@ -184,9 +207,7 @@ class ParetoAnalyzer:
         """
         from repro.core.solution import microarchitecture_variants
 
-        solutions = []
-        if include_baseline:
-            solutions.append(self.framework.solutions[SolutionKind.SOFTWARE])
+        solutions = [self.framework.solutions[SolutionKind.SOFTWARE]]
         solutions.extend(
             microarchitecture_variants(depths, widths, fmt=self.framework.fmt)
         )

@@ -213,192 +213,76 @@ def render_differential(result) -> str:
     return "\n".join(lines)
 
 
-def render_format_tables(result, tables: dict = None) -> str:
-    """One Table IV-style block per (format, workload) cell group.
+#: Display names of the cell axes a campaign groups by.
+_AXIS_NAMES = {"op": "operation", "fmt": "format", "workload": "workload"}
 
-    The renderer behind ``python -m repro.campaign --format ...``: every
-    interchange format gets its own table (per workload when the campaign
-    crossed formats with workloads), with speedups against that group's own
-    baseline.  The paper's published rows are only meaningful next to the
-    paper's own experiment, so they render exclusively under decimal64 with
-    the default mix or the ``paper-uniform`` workload.
+
+def _is_paper_experiment(cells) -> bool:
+    """The paper's own experiment: decimal64 multiply over its operand mix."""
+    return all(
+        cell.op == "multiply"
+        and cell.fmt == "decimal64"
+        and cell.workload in (None, "paper-uniform")
+        for cell in cells
+    )
+
+
+def render_tables(result, by=(), include_paper: bool = True) -> str:
+    """One Table IV-style block per ``result.table_iv_by(*by)`` group.
+
+    Each block is titled by its group's axis values (``Operation: add ·
+    format: decimal128 · workload: carry-stress``; no title when ``by`` is
+    empty) and shows speedups against the group's own baseline.  The
+    paper's published rows print only next to the paper's own experiment
+    (decimal64 multiply over the Table IV mix or ``paper-uniform``), and
+    only while ``include_paper`` holds.
     """
     blocks = []
-    if tables is None:
-        tables = result.table_iv_grouped()
-    for (fmt, workload), table in tables.items():
-        title = f"Format: {fmt}"
-        if workload is not None:
-            title += f" · workload: {workload}"
-        include_paper = fmt == "decimal64" and workload in (None, "paper-uniform")
-        blocks.append("\n".join([title, "=" * len(title),
-                                 render_table_iv(table, include_paper)]))
-    return "\n\n".join(blocks)
-
-
-def render_format_matrix(result, baseline_kind: str = None,
-                         tables: dict = None) -> str:
-    """Cross-format/workload comparison: per-solution cycles and speedups.
-
-    One row per (format, workload) group — the format axis analogue of
-    :func:`render_workload_matrix`, answering "how does the co-design's
-    advantage change with the interchange width?" at a glance.
-    """
-    grouped = (
-        tables
-        if tables is not None
-        else result.table_iv_grouped(baseline_kind=baseline_kind)
-    )
-    kinds = []
-    for table in grouped.values():
-        for kind in table.reports:
-            if kind not in kinds:
-                kinds.append(kind)
-    header = f"{'Format / workload':<34s}" + "".join(
-        f" {kind:>24s}" for kind in kinds
-    )
-    lines = [
-        "Cross-format comparison (avg cycles, speedup vs baseline)",
-        header,
-        "-" * len(header),
-    ]
-    for (fmt, workload), table in grouped.items():
-        speedups = table.speedups()
-        label = fmt if workload is None else f"{fmt} / {workload}"
-        row = f"{label:<34s}"
-        for kind in kinds:
-            report = table.reports.get(kind)
-            if report is None:
-                row += f" {'-':>24s}"
-                continue
-            cell = f"{report.avg_total_cycles:.0f}"
-            if kind != table.baseline_kind:
-                cell += f" ({_format_speedup(speedups.get(kind))})"
-            row += f" {cell:>24s}"
-        lines.append(row)
-    return "\n".join(lines)
-
-
-def render_operation_tables(result, tables: dict = None) -> str:
-    """One Table IV-style block per (operation, format, workload) group.
-
-    The renderer behind ``python -m repro.campaign --op mul,add,fma``:
-    every decimal operation gets its own table (per format, per workload
-    when the campaign crossed axes), with speedups against that group's
-    own baseline.  The paper only published multiply numbers, so its rows
-    render exclusively under (multiply, decimal64) with the default mix or
-    the ``paper-uniform`` workload — other operations show measured data
-    alone.
-    """
-    blocks = []
-    if tables is None:
-        tables = result.table_iv_by_operation()
-    for (op, fmt, workload), table in tables.items():
-        title = f"Operation: {op} · format: {fmt}"
-        if workload is not None:
-            title += f" · workload: {workload}"
-        include_paper = (
-            op == "multiply"
-            and fmt == "decimal64"
-            and workload in (None, "paper-uniform")
+    for key, table in result.table_iv_by(*by).items():
+        title = " · ".join(
+            f"{_AXIS_NAMES[axis]}: {value}"
+            for axis, value in zip(by, key) if value is not None
         )
-        blocks.append("\n".join([title, "=" * len(title),
-                                 render_table_iv(table, include_paper)]))
+        cells = [cell for cell in result.cells
+                 if tuple(getattr(cell, axis) for axis in by) == key]
+        block = render_table_iv(
+            table, include_paper and _is_paper_experiment(cells)
+        )
+        if title:
+            title = title[0].upper() + title[1:]
+            block = "\n".join([title, "=" * len(title), block])
+        blocks.append(block)
     return "\n\n".join(blocks)
 
 
-def render_operation_matrix(result, baseline_kind: str = None,
-                            tables: dict = None) -> str:
-    """Cross-operation comparison: per-solution cycles and speedups.
+def render_matrix(result, by, baseline_kind: str = None) -> str:
+    """Cross-group comparison: per-solution average cycles and speedups.
 
-    One row per (operation, format, workload) group — the operation-axis
-    analogue of :func:`render_workload_matrix`, answering "how does the
-    co-design's advantage change with the arithmetic operation?" at a
-    glance.
+    One row per ``result.table_iv_by(*by)`` group; for every non-baseline
+    solution kind the row shows ``avg cycles (speedup vs that group's own
+    baseline run)``, so the matrix answers "*where* does the co-design help
+    most?" at a glance.
     """
-    grouped = (
-        tables
-        if tables is not None
-        else result.table_iv_by_operation(baseline_kind=baseline_kind)
-    )
+    grouped = result.table_iv_by(*by, baseline_kind=baseline_kind)
     kinds = []
     for table in grouped.values():
         for kind in table.reports:
             if kind not in kinds:
                 kinds.append(kind)
-    header = f"{'Operation / format':<34s}" + "".join(
-        f" {kind:>24s}" for kind in kinds
-    )
+    names = [_AXIS_NAMES[axis] for axis in by]
+    # The row-label column is headed by the first two axes.
+    heading = " / ".join(names[:2]).capitalize()
+    width = 18 if len(by) == 1 else 34
+    header = f"{heading:<{width}s}" + "".join(f" {kind:>24s}" for kind in kinds)
     lines = [
-        "Cross-operation comparison (avg cycles, speedup vs baseline)",
+        f"Cross-{names[0]} comparison (avg cycles, speedup vs baseline)",
         header,
         "-" * len(header),
     ]
-    for (op, fmt, workload), table in grouped.items():
+    for key, table in grouped.items():
         speedups = table.speedups()
-        label = f"{op} / {fmt}"
-        if workload is not None:
-            label += f" / {workload}"
-        row = f"{label:<34s}"
-        for kind in kinds:
-            report = table.reports.get(kind)
-            if report is None:
-                row += f" {'-':>24s}"
-                continue
-            cell = f"{report.avg_total_cycles:.0f}"
-            if kind != table.baseline_kind:
-                cell += f" ({_format_speedup(speedups.get(kind))})"
-            row += f" {cell:>24s}"
-        lines.append(row)
-    return "\n".join(lines)
-
-
-def render_workload_tables(result, include_paper: bool = False,
-                           tables: dict = None) -> str:
-    """One Table IV-style block per workload of a multi-workload campaign.
-
-    ``tables`` takes a precomputed ``result.table_iv_by_workload()``
-    grouping so callers rendering several views need not regroup.
-    """
-    blocks = []
-    if tables is None:
-        tables = result.table_iv_by_workload()
-    for workload, table in tables.items():
-        title = f"Workload: {workload or 'default mix'}"
-        blocks.append("\n".join([title, "=" * len(title),
-                                 render_table_iv(table, include_paper)]))
-    return "\n\n".join(blocks)
-
-
-def render_workload_matrix(result, baseline_kind: str = None,
-                           tables: dict = None) -> str:
-    """Cross-workload comparison: per-solution average cycles and speedups.
-
-    One row per workload; for every non-baseline solution kind the row shows
-    ``avg cycles (speedup vs that workload's own baseline run)``, so the
-    matrix answers "*where* does the co-design help most?" at a glance.
-    ``tables`` takes a precomputed grouping, as in
-    :func:`render_workload_tables`.
-    """
-    grouped = (
-        tables
-        if tables is not None
-        else result.table_iv_by_workload(baseline_kind=baseline_kind)
-    )
-    kinds = []
-    for table in grouped.values():
-        for kind in table.reports:
-            if kind not in kinds:
-                kinds.append(kind)
-    header = f"{'Workload':<18s}" + "".join(f" {kind:>24s}" for kind in kinds)
-    lines = [
-        "Cross-workload comparison (avg cycles, speedup vs baseline)",
-        header,
-        "-" * len(header),
-    ]
-    for workload, table in grouped.items():
-        speedups = table.speedups()
-        row = f"{(workload or 'default'):<18s}"
+        label = " / ".join(str(value) for value in key if value is not None)
+        row = f"{label or 'default':<{width}s}"
         for kind in kinds:
             report = table.reports.get(kind)
             if report is None:

@@ -31,13 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.core.campaign import (
-    CampaignResult,
-    _run_shard_task,
-    plan_shards,
-    table_iv_cells,
-    workload_cells,
-)
+from repro.core.campaign import Axes, CampaignResult, _run_shard_task, plan_shards
 from repro.core.results import merge_shard_reports
 from repro.errors import ConfigurationError
 
@@ -77,33 +71,25 @@ def cells_from_spec(spec: dict) -> list:
             f"unknown campaign spec field(s): {', '.join(unknown)} "
             f"(known: {', '.join(sorted(_SPEC_FIELDS))})"
         )
+    if spec.get("workload") is not None and spec.get("workloads") is not None:
+        raise ConfigurationError(
+            "'workload' and 'workloads' are mutually exclusive"
+        )
     workloads = spec.get("workloads")
-    if workloads is None and spec.get("workload") is not None:
+    if spec.get("workload") is not None:
         workloads = [spec["workload"]]
-    if workloads is not None and not isinstance(workloads, (list, tuple)):
-        raise ConfigurationError("'workloads' must be a list of workload names")
-    common = dict(
-        num_samples=int(spec.get("samples", 100)),
-        kinds=tuple(spec["kinds"]) if spec.get("kinds") else None,
-        repetitions=int(spec.get("repetitions", 1)),
-        seed=int(spec.get("seed", 2018)),
+    return Axes(
+        kinds=spec.get("kinds"),
+        formats=[spec.get("fmt", "decimal64")],
+        operations=[spec.get("op", "multiply")],
+        workloads=workloads,
+        operand_classes=spec.get("classes"),
+        num_samples=spec.get("samples", 100),
+        seed=spec.get("seed", 2018),
+        repetitions=spec.get("repetitions", 1),
         verify_functionally=bool(spec.get("verify", True)),
         differential=bool(spec.get("differential", False)),
-        fmt=spec.get("fmt", "decimal64"),
-        op=spec.get("op", "multiply"),
-    )
-    if workloads and len(workloads) > 1:
-        if spec.get("classes") is not None:
-            raise ConfigurationError(
-                "'classes' and 'workloads' are mutually exclusive: a "
-                "workload defines its own operand distribution"
-            )
-        return workload_cells(workloads, **common)
-    if workloads:
-        common["workload"] = workloads[0]
-    elif spec.get("classes") is not None:
-        common["operand_classes"] = tuple(spec["classes"])
-    return table_iv_cells(**common)
+    ).cells()
 
 
 def comparable_summary(summary: dict) -> dict:

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from repro.core.campaign import (
+    Axes,
     CampaignCell,
     plan_shards,
     run_campaign,
     run_table_iv_campaign,
-    table_iv_cells,
 )
 from repro.core.evaluation import EvaluationFramework, run_solution_shard
 from repro.core.pareto import ParetoAnalyzer
@@ -186,7 +186,7 @@ class TestCampaignDeterminism:
             assert b.sim_wall_seconds > 0
 
     def test_shard_vectors_match_framework(self, framework):
-        cell = table_iv_cells(num_samples=SAMPLES, seed=SEED)[0]
+        cell = Axes(num_samples=SAMPLES, seed=SEED).cells()[0]
         assert cell.generate_vectors() == framework.vectors
 
     def test_render_campaign(self):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 import repro.gem5.atomic_cpu as atomic_cpu
-from repro.core.campaign import run_campaign, table_iv_cells, workload_cells
+from repro.core.campaign import Axes, run_campaign
 from repro.core.evaluation import run_solution_shard
 from repro.core.solution import standard_solutions
 from repro.core import reporting
@@ -220,10 +220,10 @@ def test_differential_shard_condition_coverage_matches_tracker():
 
 # ------------------------------------------------------- differential campaigns
 def test_differential_campaign_serial_and_sharded_agree():
-    cells = table_iv_cells(
+    cells = Axes(
         num_samples=24, kinds=(SolutionKind.METHOD1, SolutionKind.SOFTWARE),
         differential=True,
-    )
+    ).cells()
     serial = run_campaign(cells, workers=1)
     assert serial.differential
     assert serial.differential_clean
@@ -245,9 +245,9 @@ def test_differential_campaign_serial_and_sharded_agree():
 
 
 def test_differential_campaign_counts_divergences_per_cell(broken_gem5):
-    cells = table_iv_cells(
+    cells = Axes(
         num_samples=20, kinds=(SolutionKind.METHOD1,), differential=True,
-    )
+    ).cells()
     result = run_campaign(cells, workers=1)
     assert not result.differential_clean
     assert result.total_divergences > 0
@@ -259,12 +259,12 @@ def test_differential_campaign_counts_divergences_per_cell(broken_gem5):
 
 
 def test_differential_workload_cells_cover_the_grid():
-    cells = workload_cells(
-        ("telco-billing", "carry-stress"),
+    cells = Axes(
+        workloads=("telco-billing", "carry-stress"),
         num_samples=10,
         kinds=(SolutionKind.METHOD1,),
         differential=True,
-    )
+    ).cells()
     assert [cell.label for cell in cells] == [
         "method1 @ telco-billing [diff]",
         "method1 @ carry-stress [diff]",
@@ -274,7 +274,7 @@ def test_differential_workload_cells_cover_the_grid():
 
 
 def test_render_differential_without_differential_cells():
-    cells = table_iv_cells(num_samples=5, kinds=(SolutionKind.METHOD1,))
+    cells = Axes(num_samples=5, kinds=(SolutionKind.METHOD1,)).cells()
     result = run_campaign(cells, workers=1)
     assert (
         reporting.render_differential(result)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.campaign import CampaignCell, format_cells, run_campaign
+from repro.core.campaign import Axes, CampaignCell, run_campaign
 from repro.core.solution import CoDesignSolution, standard_solutions
 from repro.decnumber.formats import DECIMAL128, get_format, resolve_format_name
 from repro.decnumber.number import DecNumber
@@ -365,21 +365,21 @@ class TestFormatCampaign:
             unregister("d64-only-cell-test")
 
     def test_format_cells_grid_and_run(self):
-        cells = format_cells(
-            ["decimal64", "decimal128"], num_samples=4,
+        cells = Axes(
+            formats=("decimal64", "decimal128"), num_samples=4,
             kinds=(SolutionKind.METHOD1, SolutionKind.SOFTWARE),
-        )
+        ).cells()
         assert len(cells) == 4
         assert {cell.fmt for cell in cells} == {"decimal64", "decimal128"}
         result = run_campaign(cells, workers=1)
         assert result.formats == ("decimal64", "decimal128")
-        grouped = result.table_iv_grouped()
+        grouped = result.table_iv_by("fmt", "workload")
         assert set(grouped) == {("decimal64", None), ("decimal128", None)}
         for table in grouped.values():
             speedup = table.speedups()[SolutionKind.METHOD1]
             assert speedup and speedup > 1.0
-        with pytest.raises(ConfigurationError, match="formats"):
-            result.table_iv_by_workload()
+        with pytest.raises(ConfigurationError, match="differ in fmt"):
+            result.table_iv_by("workload")
         with pytest.raises(ConfigurationError, match="formats"):
             result.report_for(SolutionKind.METHOD1)
         report = result.report_for(SolutionKind.METHOD1, fmt="decimal128")
@@ -390,10 +390,11 @@ class TestFormatCampaign:
         }
 
     def test_differential_format_cell_is_clean(self):
-        cells = format_cells(
-            ["decimal128"], num_samples=4, kinds=(SolutionKind.METHOD1,),
-            workloads=["carry-stress"], differential=True,
-        )
+        cells = Axes(
+            formats=("decimal128",), num_samples=4,
+            kinds=(SolutionKind.METHOD1,), workloads=("carry-stress",),
+            differential=True,
+        ).cells()
         result = run_campaign(cells, workers=1)
         assert result.differential
         assert result.differential_clean
@@ -410,11 +411,11 @@ class TestFormatCampaign:
 
         register(D64Grid(), replace=True)
         try:
-            cells = format_cells(
-                ["decimal64", "decimal128"], num_samples=4,
+            cells = Axes(
+                formats=("decimal64", "decimal128"), num_samples=4,
                 kinds=(SolutionKind.METHOD1,),
-                workloads=["d64-grid-test", "carry-stress"],
-            )
+                workloads=("d64-grid-test", "carry-stress"),
+            ).cells()
             labels = [cell.label for cell in cells]
             assert len(cells) == 3  # d64 x 2 workloads + d128 x carry-stress
             assert not any(
@@ -422,8 +423,8 @@ class TestFormatCampaign:
                 for label in labels
             )
             with pytest.raises(ConfigurationError, match="supports none"):
-                format_cells(["decimal128"], num_samples=4,
-                             workloads=["d64-grid-test"])
+                Axes(formats=("decimal128",), num_samples=4,
+                     workloads=("d64-grid-test",)).cells()
         finally:
             unregister("d64-grid-test")
 
@@ -451,6 +452,22 @@ class TestFormatCampaign:
             build_parser().parse_args(["--format", "decimal32"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--format", "decimal64,decimal64"])
+
+    def test_cli_format_differential_skips_unsupported_workloads(self, tmp_path):
+        # Auto-selected workloads pass the same (operation, format) filter
+        # as explicit ones: the fma-only mac-chain never runs a multiply.
+        import json
+
+        from repro.campaign import main
+
+        path = tmp_path / "summary.json"
+        assert main(["--samples", "2", "--workers", "1",
+                     "--format", "decimal128", "--differential",
+                     "--json", str(path)]) == 0
+        cells = json.loads(path.read_text())["cells"]
+        assert cells and all(cell["op"] == "multiply" for cell in cells)
+        assert "mac-chain" not in {cell["workload"] for cell in cells}
+        assert "carry-stress" in {cell["workload"] for cell in cells}
 
 
 # ------------------------------------------------------------------- fuzz

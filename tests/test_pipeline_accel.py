@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.asm.builder import AsmBuilder
 from repro.asm.program import TOHOST_ADDRESS
-from repro.core.campaign import pipeline_sweep_cells, run_pipeline_sweep_campaign
+from repro.core.campaign import Axes, run_campaign
 from repro.core.pareto import ParetoPoint, frontier_of, points_from_campaign
 from repro.core.solution import microarchitecture_variants
 from repro.decnumber.bcd import int_to_bcd
@@ -716,15 +716,15 @@ class TestSweepPlumbing:
             microarchitecture_variants(depths=(), widths=(1,))
 
     def test_pipeline_sweep_cells_labels_are_unique(self):
-        cells = pipeline_sweep_cells(depths=(1, 2), widths=(1,), num_samples=4)
+        cells = Axes(depths=(1, 2), widths=(1,), num_samples=4).cells()
         labels = [cell.label for cell in cells]
         assert len(labels) == len(set(labels))
         assert len(cells) == 3  # software baseline + two variants
         assert any("Software" in label for label in labels)
 
     def test_small_campaign_produces_a_consistent_frontier(self):
-        result = run_pipeline_sweep_campaign(
-            depths=(1, 4), widths=(1,), num_samples=6,
+        result = run_campaign(
+            Axes(depths=(1, 4), widths=(1,), num_samples=6).cells()
         )
         groups = points_from_campaign(result)
         assert set(groups) == {("multiply", "decimal64")}

@@ -15,7 +15,7 @@ import socket
 
 import pytest
 
-from repro.core.campaign import run_table_iv_campaign, table_iv_cells
+from repro.core.campaign import Axes, run_table_iv_campaign
 from repro.core.results import shard_report_from_dict, shard_report_to_dict
 from repro.errors import ConfigurationError
 from repro.service import (
@@ -41,10 +41,11 @@ KINDS = (SolutionKind.SOFTWARE, SolutionKind.METHOD1)
 SAMPLES = 12
 
 
-def _cells(**overrides):
-    options = dict(num_samples=SAMPLES, kinds=KINDS, verify_functionally=False)
+def _cells(fmt="decimal64", op="multiply", **overrides):
+    options = dict(num_samples=SAMPLES, kinds=KINDS, verify_functionally=False,
+                   formats=(fmt,), operations=(op,))
     options.update(overrides)
-    return table_iv_cells(**options)
+    return Axes(**options).cells()
 
 
 class TestCellKey:
@@ -360,6 +361,32 @@ class TestHttpService:
             with pytest.raises(ServiceError) as excinfo:
                 get_json(f"{server.base_url}/no-such-route")
             assert excinfo.value.status == 404
+
+    def test_invalid_specs_are_400(self, tmp_path):
+        # Specs go through the CLI's validators: each of these is the
+        # caller's mistake, rejected before a job exists.
+        invalid = [
+            {"samples": 4, "kinds": "method1"},
+            {"samples": 4, "kinds": ["method2"]},
+            {"samples": "abc"},
+            {"samples": 4, "classes": ["normal", "no-such-class"]},
+            {"samples": 4, "workload": "telco-billing",
+             "workloads": ["carry-stress"]},
+            {"samples": 4, "workloads": ["telco-billing"],
+             "classes": ["normal"]},
+            {"samples": 4, "workloads": ["telco-billing", "telco-billing"]},
+        ]
+        with serve_in_background(ResultCache(tmp_path)) as server:
+            for spec in invalid:
+                status, payload = request_json(
+                    f"{server.base_url}/submit", spec
+                )
+                assert status == 400, (spec, payload)
+                assert payload["error"]
+            stats = get_json(f"{server.base_url}/stats")
+            assert stats["jobs"]["total"] == 0
+            status, health = request_json(f"{server.base_url}/healthz")
+            assert status == 200 and health["status"] == "ok"
 
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_malformed_content_length_is_400(self, tmp_path, length):

@@ -637,11 +637,11 @@ class TestCampaignWarmWorkers:
     def test_workers_with_warm_runners_match_cold_serial(self):
         # The campaign engine hands every worker a per-process BatchRunner;
         # the merged report must still equal the cold serial path exactly.
-        from repro.core.campaign import run_campaign, table_iv_cells
+        from repro.core.campaign import Axes, run_campaign
         from repro.core.evaluation import run_solution_shard
         from repro.core.results import merge_shard_reports
 
-        cells = table_iv_cells(num_samples=12)
+        cells = Axes(num_samples=12).cells()
         cold = []
         for cell in cells:
             outcome = run_solution_shard(
@@ -659,7 +659,7 @@ class TestCampaignWarmWorkers:
                 shards=[outcome.shard_report],
                 repetitions=cell.repetitions,
             ))
-        result = run_campaign(table_iv_cells(num_samples=12), workers=2)
+        result = run_campaign(Axes(num_samples=12).cells(), workers=2)
         for cold_report, warm_report in zip(cold, result.reports):
             assert cold_report.per_sample_cycles == warm_report.per_sample_cycles
             assert (cold_report.instructions_retired
@@ -671,12 +671,11 @@ class TestCampaignWarmWorkers:
         # Serial in-process campaign: every shard goes through the same
         # module-level runner, so same-shape shards hit the warm cache.
         import repro.core.campaign as campaign_mod
-        from repro.core.campaign import run_campaign, table_iv_cells
+        from repro.core.campaign import Axes, run_campaign
 
         campaign_mod._SHARD_RUNNER = None
         try:
-            run_campaign(table_iv_cells(num_samples=8,
-                                        kinds=("software",)),
+            run_campaign(Axes(num_samples=8, kinds=("software",)).cells(),
                          workers=1, shards_per_cell=2)
             runner = campaign_mod._SHARD_RUNNER
             assert runner is not None

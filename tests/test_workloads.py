@@ -3,13 +3,13 @@
 import pytest
 
 from repro.core.campaign import (
+    Axes,
     CampaignCell,
+    run_campaign,
     run_table_iv_campaign,
-    run_workload_campaign,
-    workload_cells,
 )
 from repro.core.evaluation import EvaluationFramework, run_solution_shard
-from repro.core.reporting import render_workload_matrix, render_workload_tables
+from repro.core.reporting import render_matrix, render_tables
 from repro.core.solution import standard_solutions
 from repro.errors import ConfigurationError
 from repro.testgen.config import SolutionKind, TestProgramConfig
@@ -265,12 +265,12 @@ class TestEndToEndSmoke:
 class TestWorkloadCampaigns:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_workload_campaign(
-            ["telco-billing", "carry-stress"],
+        return run_campaign(Axes(
+            workloads=("telco-billing", "carry-stress"),
             num_samples=8,
             kinds=(SolutionKind.METHOD1, SolutionKind.SOFTWARE),
             seed=5,
-        )
+        ).cells())
 
     def test_cell_grid(self, result):
         assert len(result.cells) == 4
@@ -279,8 +279,8 @@ class TestWorkloadCampaigns:
         assert "method1 @ telco-billing" in labels
 
     def test_table_iv_by_workload(self, result):
-        tables = result.table_iv_by_workload()
-        assert set(tables) == {"telco-billing", "carry-stress"}
+        tables = result.table_iv_by("workload")
+        assert set(tables) == {("telco-billing",), ("carry-stress",)}
         for table in tables.values():
             assert set(table.reports) == {
                 SolutionKind.METHOD1, SolutionKind.SOFTWARE
@@ -289,14 +289,14 @@ class TestWorkloadCampaigns:
             assert speedup and speedup > 1.0
 
     def test_table_iv_rejects_multi_workload(self, result):
-        with pytest.raises(ConfigurationError, match="table_iv_by_workload"):
+        with pytest.raises(ConfigurationError, match="differ in workload"):
             result.table_iv()
 
     def test_rendering(self, result):
-        tables_text = render_workload_tables(result)
+        tables_text = render_tables(result, ("workload",))
         assert "Workload: telco-billing" in tables_text
         assert "Workload: carry-stress" in tables_text
-        matrix = render_workload_matrix(result)
+        matrix = render_matrix(result, ("workload",))
         assert "Cross-workload comparison" in matrix
         assert "telco-billing" in matrix and "carry-stress" in matrix
 
@@ -306,8 +306,8 @@ class TestWorkloadCampaigns:
         assert summary["cells"][-1]["workload"] == "carry-stress"
 
     def test_workload_cells_requires_a_workload(self):
-        with pytest.raises(ConfigurationError):
-            workload_cells([])
+        with pytest.raises(ConfigurationError, match="at least one workload"):
+            Axes(workloads=())
 
     def test_report_for_workload(self, result):
         telco = result.report_for(SolutionKind.METHOD1, "telco-billing")
@@ -415,6 +415,22 @@ class TestCampaignCli:
         with pytest.raises(SystemExit):
             main(["--workload", ","])
         assert "at least one workload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--workload", "mac-chain"],
+        ["--op", "add", "--workload", "mac-chain"],
+    ])
+    def test_unsupported_workload_is_a_usage_error(self, capsys, args):
+        # Exit 1 means "divergence found" under --differential, so a bad
+        # axis combination must end as a one-line usage error (exit 2).
+        from repro.campaign import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--samples", "2", "--workers", "1"] + args)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "mac-chain" in err and "supports none" in err
+        assert "Traceback" not in err
 
     def test_classes_and_workload_mutually_exclusive(self, capsys):
         from repro.campaign import main
