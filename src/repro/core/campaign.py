@@ -47,7 +47,11 @@ from repro.core.results import (
     TableIVReport,
     merge_shard_reports,
 )
-from repro.core.solution import CoDesignSolution, standard_solutions
+from repro.core.solution import (
+    CoDesignSolution,
+    microarchitecture_variants,
+    standard_solutions,
+)
 from repro.decnumber.formats import resolve_format_name
 from repro.decnumber.operations import resolve_operation_name
 from repro.errors import ConfigurationError, DecimalError
@@ -138,8 +142,8 @@ class CampaignCell:
         )
 
 
-#: The cell axes a campaign result can be grouped by, with their plurals.
-_AXIS_PLURALS = {"op": "operations", "fmt": "formats", "workload": "workloads"}
+#: The cell axes a campaign result can be grouped by, with display names.
+AXIS_NAMES = {"op": "operation", "fmt": "format", "workload": "workload"}
 
 
 def _distinct(cells, axis: str) -> tuple:
@@ -298,7 +302,7 @@ class CampaignResult:
             if value is None and len(seen) > 1:
                 raise ConfigurationError(
                     f"kind {kind!r} was evaluated under several "
-                    f"{_AXIS_PLURALS[axis]} ({sorted(map(str, seen))}); "
+                    f"{AXIS_NAMES[axis]}s ({sorted(map(str, seen))}); "
                     f"pass report_for(kind, {axis}=...)"
                 )
         return matches[0][1]
@@ -338,10 +342,10 @@ class CampaignResult:
         group.  A group holding two cells of one solution kind raises: the
         campaign varies over an axis the grouping leaves out.
         """
-        unknown = [axis for axis in axes if axis not in _AXIS_PLURALS]
+        unknown = [axis for axis in axes if axis not in AXIS_NAMES]
         if unknown:
             raise ConfigurationError(
-                f"cannot group by {unknown}; choose from {tuple(_AXIS_PLURALS)}"
+                f"cannot group by {unknown}; choose from {tuple(AXIS_NAMES)}"
             )
         grouped: dict = {}
         rows: dict = {}
@@ -354,7 +358,7 @@ class CampaignResult:
             kind = cell.solution.kind
             earlier = rows.setdefault(key, {}).setdefault(kind, cell)
             if earlier is not cell:
-                differing = [axis for axis in _AXIS_PLURALS
+                differing = [axis for axis in AXIS_NAMES
                              if getattr(earlier, axis) != getattr(cell, axis)]
                 raise ConfigurationError(
                     f"cell group {key!r} has more than one {kind!r} cell"
@@ -603,7 +607,7 @@ def axis_values(axis: str, values) -> tuple:
     """
     resolve, noun = _LIST_AXES[axis]
     if isinstance(values, str) or not isinstance(values, (list, tuple)):
-        raise ConfigurationError(f"{axis} must be a list of {noun}s, got {values!r}")
+        raise ConfigurationError(f"{axis} must be a list, got {values!r}")
     resolved = tuple(resolve(value) for value in values)
     if not resolved:
         raise ConfigurationError(f"at least one {noun} is required")
@@ -675,8 +679,6 @@ class Axes:
         """``(solution, label)`` per row of one (operation, format) group."""
         if self.depths is None:
             return [(solutions[kind], "") for kind in self.kinds or TABLE_IV_KINDS]
-        from repro.core.solution import microarchitecture_variants
-
         points = [solutions[SolutionKind.SOFTWARE]]
         points.extend(microarchitecture_variants(self.depths, self.widths, fmt=fmt))
         # Sweep labels name the design point and always show op and format.

@@ -8,6 +8,7 @@ against the published numbers side by side (EXPERIMENTS.md records both).
 from __future__ import annotations
 
 from repro.asm import macros
+from repro.core.campaign import AXIS_NAMES
 from repro.isa.rocc import DecimalFunct
 from repro.testgen.config import SolutionKind
 
@@ -213,10 +214,6 @@ def render_differential(result) -> str:
     return "\n".join(lines)
 
 
-#: Display names of the cell axes a campaign groups by.
-_AXIS_NAMES = {"op": "operation", "fmt": "format", "workload": "workload"}
-
-
 def _is_paper_experiment(cells) -> bool:
     """The paper's own experiment: decimal64 multiply over its operand mix."""
     return all(
@@ -240,7 +237,7 @@ def render_tables(result, by=(), include_paper: bool = True) -> str:
     blocks = []
     for key, table in result.table_iv_by(*by).items():
         title = " · ".join(
-            f"{_AXIS_NAMES[axis]}: {value}"
+            f"{AXIS_NAMES[axis]}: {value}"
             for axis, value in zip(by, key) if value is not None
         )
         cells = [cell for cell in result.cells
@@ -255,7 +252,7 @@ def render_tables(result, by=(), include_paper: bool = True) -> str:
     return "\n\n".join(blocks)
 
 
-def render_matrix(result, by, baseline_kind: str = None) -> str:
+def render_matrix(result, by) -> str:
     """Cross-group comparison: per-solution average cycles and speedups.
 
     One row per ``result.table_iv_by(*by)`` group; for every non-baseline
@@ -263,13 +260,13 @@ def render_matrix(result, by, baseline_kind: str = None) -> str:
     baseline run)``, so the matrix answers "*where* does the co-design help
     most?" at a glance.
     """
-    grouped = result.table_iv_by(*by, baseline_kind=baseline_kind)
+    grouped = result.table_iv_by(*by)
     kinds = []
     for table in grouped.values():
         for kind in table.reports:
             if kind not in kinds:
                 kinds.append(kind)
-    names = [_AXIS_NAMES[axis] for axis in by]
+    names = [AXIS_NAMES[axis] for axis in by]
     # The row-label column is headed by the first two axes.
     heading = " / ".join(names[:2]).capitalize()
     width = 18 if len(by) == 1 else 34

@@ -210,6 +210,36 @@ class TestCampaignDeterminism:
         assert len(result.reports) == 2
 
 
+class TestAxes:
+    def test_aliases_resolve_and_cells_follow_the_axis_order(self):
+        axes = Axes(kinds=("software",), formats=("quad", "decimal64"),
+                    operations=("mac", "mul"), num_samples=2)
+        assert axes.formats == ("decimal128", "decimal64")
+        assert axes.operations == ("fma", "multiply")
+        assert [(cell.op, cell.fmt) for cell in axes.cells()] == [
+            ("fma", "decimal128"), ("fma", "decimal64"),
+            ("multiply", "decimal128"), ("multiply", "decimal64"),
+        ]
+
+    @pytest.mark.parametrize("fields", [
+        {"depths": (1, 2)},
+        {"depths": (1,), "widths": (1,), "kinds": ("method1",)},
+        {"depths": (1,), "widths": (0,)},
+        {"workloads": ("telco-billing",), "operand_classes": ("normal",)},
+        {"operations": "multiply"},
+        {"repetitions": "two"},
+    ])
+    def test_invalid_axes_rejected(self, fields):
+        with pytest.raises(ConfigurationError):
+            Axes(**fields)
+
+    def test_table_iv_by_rejects_unknown_axis(self):
+        result = run_campaign(Axes(num_samples=2, kinds=("software",)).cells())
+        assert list(result.table_iv_by("fmt")) == [("decimal64",)]
+        with pytest.raises(ConfigurationError, match="cannot group by"):
+            result.table_iv_by("seed")
+
+
 class TestAccountingRegressions:
     def test_pareto_no_solution_restore_leak(self):
         framework = EvaluationFramework(num_samples=6, seed=3)

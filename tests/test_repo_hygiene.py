@@ -4,7 +4,8 @@ Compiled ``.pyc`` files are host- and version-specific; once committed they
 shadow real source changes and bloat every diff.  The tier-1 suite (and CI)
 fails if any reappear in the index.  The docs checker
 (``tools/check_docs.py``, also a CI step) keeps markdown links and the file
-paths quoted in doc code fences pointing at files that exist.
+paths quoted in doc code fences pointing at files that exist, and the
+``repro`` imports in python fences pointing at names that exist.
 """
 
 import shutil
@@ -65,3 +66,33 @@ def test_docs_links_and_file_references():
     assert result.returncode == 0, (
         f"tools/check_docs.py found problems:\n{result.stdout}{result.stderr}"
     )
+
+
+def test_docs_check_flags_stale_fence_imports():
+    """A ``from repro… import`` in a python fence must name something that
+    exists; unparsable blocks and other languages are left alone."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "check_docs", REPO_ROOT / "tools" / "check_docs.py"
+    )
+    check_docs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_docs)
+    lines = [
+        "```python",
+        "from repro.core.campaign import Axes, no_such_builder",
+        "```",
+        "```python",
+        ">>> from repro.core.campaign import also_missing",
+        "```",
+        "```sh",
+        "from repro.core.campaign import not_python",
+        "```",
+        "```python",
+        "from repro.no_such_module import anything",
+        "```",
+    ]
+    errors = check_docs.check_fence_imports(REPO_ROOT / "docs" / "x.md", lines)
+    assert len(errors) == 2
+    assert "docs/x.md:2:" in errors[0] and "'no_such_builder'" in errors[0]
+    assert "docs/x.md:11:" in errors[1] and "repro.no_such_module" in errors[1]
