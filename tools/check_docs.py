@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Docs consistency check: dead links and stale file references.
+"""Docs consistency check: dead links, stale file references and imports.
 
 Scans ``README.md``, ``PAPER.md`` and every ``docs/*.md`` for
 
@@ -10,7 +10,11 @@ Scans ``README.md``, ``PAPER.md`` and every ``docs/*.md`` for
   looks like a path into a tracked top-level directory (``src/…``,
   ``docs/…``, ``examples/…``, ``benchmarks/…``, ``tools/…``, ``tests/…``)
   or a root-level ``*.md``/``*.py`` file must exist, so quickstart commands
-  and examples cannot silently rot.
+  and examples cannot silently rot;
+* **``repro`` imports in ``python`` code fences** — every ``from repro…
+  import name`` must import (with ``src`` on ``sys.path``) and name an
+  attribute or submodule that exists, so API snippets cannot outlive the
+  API.  Blocks that do not parse as Python are skipped.
 
 Exit status is non-zero if anything is dangling; every finding is printed
 as ``file:line: message``.  Run locally or in CI from anywhere inside the
@@ -21,6 +25,8 @@ repository::
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -73,36 +79,86 @@ def check_links(path: Path, lines) -> list:
 
 
 def _fence_blocks(lines):
-    """Yield (language, lineno, line) for every line inside a code fence."""
-    language = None
+    """Yield (language, first lineno, lines) for every code fence."""
+    language, start, block = None, 0, []
     for lineno, line in enumerate(lines, 1):
         match = _FENCE_RE.match(line.strip())
-        if match:
-            language = match.group(1).lower() if language is None else None
-            continue
-        if language is not None:
-            yield language, lineno, line
+        if match and language is None:
+            language, start, block = match.group(1).lower(), lineno + 1, []
+        elif match:
+            yield language, start, block
+            language = None
+        elif language is not None:
+            block.append(line)
+    if language is not None:  # unclosed fence: runs to the end of file
+        yield language, start, block
 
 
 def check_fence_paths(path: Path, lines) -> list:
     """Stale repo-path references inside sh/python code fences."""
     errors = []
-    for language, lineno, line in _fence_blocks(lines):
+    for language, start, block in _fence_blocks(lines):
         if language not in ("sh", "bash", "shell", "python", "py"):
             continue
-        candidates = set(_DIR_PATH_RE.findall(line))
-        candidates.update(_ROOT_FILE_RE.findall(line))
-        for candidate in candidates:
-            cleaned = candidate.rstrip("/.,:;")
-            # Both dir-prefixed paths and bare *.md / *.py names resolve
-            # against the repo root (the working directory every documented
-            # command assumes).
-            resolved = REPO_ROOT / cleaned
-            if not _exists(resolved):
-                errors.append(
-                    f"{path.relative_to(REPO_ROOT)}:{lineno}: code fence "
-                    f"references missing file {cleaned!r}"
+        for lineno, line in enumerate(block, start):
+            candidates = set(_DIR_PATH_RE.findall(line))
+            candidates.update(_ROOT_FILE_RE.findall(line))
+            for candidate in candidates:
+                cleaned = candidate.rstrip("/.,:;")
+                # Both dir-prefixed paths and bare *.md / *.py names resolve
+                # against the repo root (the working directory every
+                # documented command assumes).
+                resolved = REPO_ROOT / cleaned
+                if not _exists(resolved):
+                    errors.append(
+                        f"{path.relative_to(REPO_ROOT)}:{lineno}: code fence "
+                        f"references missing file {cleaned!r}"
+                    )
+    return errors
+
+
+def _missing_name(module: str, name: str) -> str:
+    """Why ``from module import name`` fails, or "" when it works."""
+    try:
+        imported = importlib.import_module(module)
+    except ImportError as error:
+        return f"cannot import {module} ({error})"
+    if hasattr(imported, name):
+        return ""
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return f"{module} has no name {name!r}"
+    return ""
+
+
+def check_fence_imports(path: Path, lines) -> list:
+    """``from repro… import …`` lines in python fences that would fail."""
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    errors = []
+    for language, start, block in _fence_blocks(lines):
+        if language not in ("python", "py"):
+            continue
+        try:
+            tree = ast.parse("\n".join(block))
+        except SyntaxError:
+            continue
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "repro"):
+                continue
+            for alias in node.names:
+                problem = alias.name != "*" and _missing_name(
+                    node.module, alias.name
                 )
+                if problem:
+                    errors.append(
+                        f"{path.relative_to(REPO_ROOT)}:"
+                        f"{start + node.lineno - 1}: code fence import "
+                        f"fails: {problem}"
+                    )
     return errors
 
 
@@ -113,6 +169,7 @@ def main() -> int:
         lines = path.read_text(encoding="utf-8").splitlines()
         errors.extend(check_links(path, lines))
         errors.extend(check_fence_paths(path, lines))
+        errors.extend(check_fence_imports(path, lines))
     for error in sorted(errors):
         print(error)
     print(
