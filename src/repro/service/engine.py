@@ -228,7 +228,18 @@ class CampaignService:
     async def submit(self, spec: dict) -> Job:
         """Validate ``spec``, register a job and start running it."""
         cells = cells_from_spec(spec)
-        shards_per_cell = int(spec.get("shards_per_cell", self.shards_per_cell))
+        shards_per_cell = spec.get("shards_per_cell", self.shards_per_cell)
+        # JSON gives bools and floats too: ``true`` or ``2.5`` is a caller's
+        # mistake (400), not a shard count to coerce.
+        if (
+            isinstance(shards_per_cell, bool)
+            or not isinstance(shards_per_cell, int)
+            or shards_per_cell < 1
+        ):
+            raise ConfigurationError(
+                "shards_per_cell must be an integer of at least 1, "
+                f"got {shards_per_cell!r}"
+            )
         job = Job(
             job_id=f"job-{next(self._ids)}",
             spec=dict(spec),

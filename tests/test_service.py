@@ -375,6 +375,11 @@ class TestHttpService:
             {"samples": 4, "workloads": ["telco-billing"],
              "classes": ["normal"]},
             {"samples": 4, "workloads": ["telco-billing", "telco-billing"]},
+            {"samples": 4, "shards_per_cell": "2"},
+            {"samples": 4, "shards_per_cell": 2.5},
+            {"samples": 4, "shards_per_cell": True},
+            {"samples": 4, "shards_per_cell": 0},
+            {"samples": 4, "shards_per_cell": None},
         ]
         with serve_in_background(ResultCache(tmp_path)) as server:
             for spec in invalid:
