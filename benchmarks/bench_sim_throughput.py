@@ -33,7 +33,10 @@ The cold functional and gem5 rates are measured beside cold runs with tier 2
 disabled, and their ratio is recorded as ``cold_vs_tier1``.  The script
 exits non-zero, recording nothing, if either ratio is below
 :data:`COLD_VS_TIER1_FLOOR`: compiling may not make a cold run slower than
-not compiling.
+not compiling.  It likewise exits non-zero, recording nothing, if a warm
+rate (``functional``, ``rocket``) is below its cold counterpart: the warm
+engine reruns code it has already compiled, so it may not be slower than a
+fresh one.
 
 Usage::
 
@@ -73,9 +76,13 @@ DEFAULT_OUT = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_sim.json
 
 
 #: Floor of the in-run invariant: a cold tiered run must reach this
-#: fraction of a cold ``tier2=False`` run's rate (tier 2 may not make a
-#: cold run slower than not compiling at all, beyond timing noise).
+#: fraction of a cold tier-1-only (``promote_threshold = 0``) run's rate
+#: (tier 2 may not make a cold run slower than not compiling at all,
+#: beyond timing noise).
 COLD_VS_TIER1_FLOOR = 0.8
+
+#: Warm rate -> the cold rate it may not fall below (in-run invariant).
+WARM_OVER_COLD = {"functional": "functional_cold", "rocket": "rocket_cold"}
 
 
 def _cold_rates(repeats, make, check):
@@ -418,13 +425,20 @@ def main(argv=None) -> int:
     }
     for front_end, ratio in slow_cold.items():
         print(f"  COLD REGRESSION {front_end}: a cold tiered run reached "
-              f"{ratio:.2f}x of a cold tier2=False run "
+              f"{ratio:.2f}x of a cold tier-1-only run "
               f"(floor {COLD_VS_TIER1_FLOOR}x)")
-    if slow_cold:
+    rates = record["instr_per_s"]
+    slow_warm = {
+        warm: cold for warm, cold in WARM_OVER_COLD.items()
+        if rates[warm] < rates[cold]
+    }
+    for warm, cold in slow_warm.items():
+        print(f"  WARM REGRESSION {warm}: warm {rates[warm]:,} instr/s is "
+              f"below cold {rates[cold]:,} instr/s")
+    if slow_cold or slow_warm:
         return 1
     if args.check_regression is not None:
         failures = check_regression(record, args.check_regression, args.tolerance)
-        rates = record["instr_per_s"]
         print(f"regression check vs {args.check_regression} "
               f"(tolerance {args.tolerance:.0%}):")
         print(f"  functional {rates['functional']:,} / "
@@ -439,7 +453,6 @@ def main(argv=None) -> int:
         return 0
     persist(record, args.out)
 
-    rates = record["instr_per_s"]
     speedups = record["speedup_vs_seed"]
     tiers = record["tiers"]
     rocket_tiers = record["rocket_tiers"]
@@ -455,9 +468,10 @@ def main(argv=None) -> int:
           f"({speedups['rocket_cold']:.2f}x vs seed interpreter)")
     print(f"  gem5 atomic:          {rates['gem5_atomic']:>12,} instr/s")
     cold_ratios = record["cold_vs_tier1"]
-    print(f"  cold vs tier2=False:  functional {cold_ratios['functional']:.2f}x"
+    print(f"  cold vs tier 1 only:  functional {cold_ratios['functional']:.2f}x"
           f" / gem5 {cold_ratios['gem5_atomic']:.2f}x "
           f"(floor {COLD_VS_TIER1_FLOOR}x, asserted)")
+    print("  warm >= cold:         functional, rocket (asserted)")
     print(f"  tier split (profiled run): "
           f"tier-2 {tiers['tier2_instructions']:,} instrs "
           f"across {tiers['tier2_blocks']} blocks "
