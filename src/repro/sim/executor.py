@@ -79,6 +79,15 @@ Tier-2 correctness mirrors tier 1 exactly:
 * blocks whose head is a slow/RoCC/undecodable instruction are marked
   ineligible and stay on the tier-1 closures forever.
 
+The only speculation is on exact entry values: a register the trace reads
+before writing is pinned to its value at promotion time, and the MMIO hook
+set is pinned with it wherever a load/store address folded to a constant.
+One entry guard checks both before any state changes; a miss raises
+:class:`_Deopt`, and the stale registers are banned from the head's next
+compile.  On reruns (after ``SpikeSimulator.reset()``), a tier-2 side exit
+onto an uncompiled head reheats it, so recurring exits grow compiled
+continuations (trace trees).
+
 Per-superblock retire/compile counters are available opt-in through
 :meth:`Executor.enable_profiling` (see :class:`ExecProfile`); the
 always-cheap aggregate compile counters (``tier2_blocks``,
@@ -156,8 +165,9 @@ class _BlockExit(Exception):
 
 
 class _Deopt(Exception):
-    """Internal: a tier-2 entry guard failed — the value-range speculation
-    baked into the compiled superblock does not hold for this call.
+    """Internal: a tier-2 entry guard failed — an exact register value or
+    the MMIO hook set baked into the compiled superblock does not hold for
+    this call.
 
     Raised before any architectural state changes, so the dispatcher simply
     drops the function and falls back to the tier-1 closures; re-promotion
@@ -408,8 +418,6 @@ _T2_STOPPERS = frozenset({
 
 _T2_BRANCHES = frozenset({"beq", "bne", "blt", "bge", "bltu", "bgeu"})
 
-#: Instructions that may be folded under a skip-diamond guard (no control
-#: transfer, no table flush, no synchronized-state requirement).
 #: Longest forward skip (instructions) folded into an if/else diamond.
 _T2_MAX_SKIP = 8
 
@@ -427,8 +435,7 @@ class Executor:
     PROMOTE_THRESHOLD = 16384
 
     def __init__(self, hart, memory, csr_provider=None, rocc=None, *,
-                 tier2: bool = True, promote_threshold: int = None,
-                 counter_csrs=None):
+                 promote_threshold: int = None, counter_csrs=None):
         self.hart = hart
         self.memory = memory
         # Tier-2's page-view memory lanes index the page bytearrays
@@ -491,8 +498,7 @@ class Executor:
         #: Promote after this many instructions retired at a head via tier 1;
         #: ``0`` disables tier 2 entirely (pure tier-1 engine).
         self.promote_threshold = (
-            (self.PROMOTE_THRESHOLD if promote_threshold is None else promote_threshold)
-            if tier2 else 0
+            self.PROMOTE_THRESHOLD if promote_threshold is None else promote_threshold
         )
         #: Always-on aggregate tier-2 counters (cheap: updated at compile time
         #: only).  Per-block detail is opt-in via :meth:`enable_profiling`.
@@ -503,15 +509,13 @@ class Executor:
         # head -> entry-guard failures; past _T2_MAX_DEOPTS the head is
         # recompiled without any entry-value speculation.
         self._t2_deopts = {}
-        # head -> (exact {reg: value}, range frozenset) speculated by the
-        # installed compile; the deopt handler compares it against the live
-        # registers to prune exactly the registers that went stale.
+        # head -> exact {reg: value} speculated by the installed compile;
+        # the deopt handler compares it against the live registers to prune
+        # exactly the registers that went stale.
         self._t2_spec = {}
-        # head -> registers banned from exact-value / range / pinned-base
-        # speculation (learned from deopts, so re-promotion converges).
+        # head -> registers banned from exact-value speculation (learned
+        # from deopts, so re-promotion converges).
         self._t2_nospec = {}
-        self._t2_norange = {}
-        self._t2_nobase = {}
         #: Opt-in :class:`ExecProfile`; ``None`` keeps the hot loop lean.
         self.profile = None
 
@@ -620,38 +624,16 @@ class Executor:
                     except _Deopt:
                         # Entry guard failed before any state change: drop
                         # the speculative compile, ban exactly the registers
-                        # whose speculation went stale, and let tier-1 heat
+                        # whose pinned value went stale, and let tier-1 heat
                         # drive a re-promotion against the current values.
                         del self._tier2[block_pc]
-                        spec = self._t2_spec.pop(block_pc, None)
+                        exact = self._t2_spec.pop(block_pc, {})
+                        live = self.hart.regs
                         pruned = False
-                        if spec is not None:
-                            exact, ranged, based = spec
-                            live = self.hart.regs
-                            for r, v in exact.items():
-                                if live[r] != v:
-                                    self._t2_nospec.setdefault(
-                                        block_pc, set()
-                                    ).add(r)
-                                    pruned = True
-                            for r in ranged:
-                                if live[r] > self._T2_SPEC_BOUND:
-                                    self._t2_norange.setdefault(
-                                        block_pc, set()
-                                    ).add(r)
-                                    pruned = True
-                            hooks = list(self.memory._read_hooks) + list(
-                                self.memory._write_hooks
-                            )
-                            for r, (align, span) in based.items():
-                                v = live[r]
-                                if v & (align - 1) or any(
-                                    h - span < v <= h for h in hooks
-                                ):
-                                    self._t2_nobase.setdefault(
-                                        block_pc, set()
-                                    ).add(r)
-                                    pruned = True
+                        for r, v in exact.items():
+                            if live[r] != v:
+                                self._t2_nospec.setdefault(block_pc, set()).add(r)
+                                pruned = True
                         self._t2_deopts[block_pc] = (
                             self._t2_deopts.get(block_pc, 0) + 1
                         )
@@ -1319,13 +1301,6 @@ class Executor:
     #: re-trace per iteration instead of wrapping in a ``while 1:``.
     _T2_UNROLL_BODY = 96
 
-    #: Value-range speculation: a register whose live value at promotion
-    #: time is at most this is presumed to stay so on every later entry
-    #: (addresses, counters, loop limits), letting range analysis elide
-    #: 64-bit masks on arithmetic derived from it.  A one-time entry guard
-    #: enforces the presumption; see :class:`_Deopt`.
-    _T2_SPEC_BOUND = (1 << 44) - 1
-
     #: Entry-guard failures per head before speculation is given up.  Each
     #: failure prunes the specific stale registers from future compiles
     #: (see ``_t2_nospec``), so this is a backstop, not the usual path.
@@ -1407,7 +1382,7 @@ class Executor:
             self._heat[head] = self._T2_INELIGIBLE
             self.tier2_ineligible += 1
             return
-        source, length, covered, spec_exact, spec_range, spec_based = built
+        source, length, covered, spec_exact = built
         memory = self.memory
         namespace = {
             "R": self.hart.regs,
@@ -1439,8 +1414,8 @@ class Executor:
         }
         exec(compile(source, f"<tier2@{head:#x}>", "exec"), namespace)
         self._tier2[head] = namespace["_t2"]
-        if spec_exact or spec_range or spec_based:
-            self._t2_spec[head] = (spec_exact, spec_range, spec_based)
+        if spec_exact:
+            self._t2_spec[head] = spec_exact
         else:
             self._t2_spec.pop(head, None)
         self._heat.pop(head, None)
@@ -1462,15 +1437,22 @@ class Executor:
     def _tier2_source(self, head: int):  # noqa: C901 - one arm per instruction
         """Generate straight-line Python source for the trace at ``head``.
 
-        Returns ``(source, trace_length, covered_pcs)`` or ``None`` when the
-        head instruction itself ends the trace.  The emitted function has the
-        signature ``_t2(fuel) -> (next_pc, instructions_retired)`` and is
-        bound (via default-argument injection at exec time) to this
-        executor's register file, memory accessors and code bounds.
+        Returns ``(source, trace_length, covered_pcs, spec_exact)`` or
+        ``None`` when the head instruction itself ends the trace.  The
+        emitted function has the signature ``_t2(fuel) -> (next_pc,
+        instructions_retired)`` and is bound (via default-argument
+        injection at exec time) to this executor's register file, memory
+        accessors and code bounds.
 
-        Beyond plain straight-line folding, the walker applies four
-        fragmentation-killing transforms:
+        Beyond plain straight-line folding, the walker applies these
+        transforms:
 
+        * **Exact-value speculation** — a register the trace reads before
+          writing it is pinned to its live value at promotion time and
+          treated as a constant (see ``kreg``), guarded once at entry; a
+          guard miss deoptimizes and bans the stale register for the head.
+          Constants fold arithmetic, resolve load/store addresses to
+          prologue-bound page views and feed the two transforms below.
         * **Constant link propagation** — ``lui``/``auipc``/``jal`` (and
           ``addi`` chains over them) record statically-known register values;
           a ``jalr`` whose base register is known (the ``ret`` of a callee
@@ -1478,7 +1460,8 @@ class Executor:
           target instead of exiting, fusing call + body + return.
         * **Constant branch folding** — a branch whose operands are both
           statically known is decided at compile time; the walker keeps
-          tracing along the taken side and emits no test at all.
+          tracing along the taken side and emits no test at all (a decided
+          loop-closing branch unrolls short loops flat).
         * **Loop nests** — any backward edge to a position already in the
           trace (a closing branch, an inlined ``jal``/``ret``, or falling
           into the top of a walked span) wraps that span in a native
@@ -1494,6 +1477,14 @@ class Executor:
           straight-line instructions compiles to a native ``if``/``else``
           inside the trace (with an ``n -= k`` retire-count compensation on
           the taken path) instead of ending it.
+        * **Counter-CSR inlining** — with the ``counter_csrs`` contract, a
+          pure ``rdcycle``/``rdinstret`` read compiles to retire-count
+          arithmetic instead of stopping the trace.
+
+        Value bounds known along the trace (from constants, pinned entry
+        values included, ``andi`` masks, right shifts and unsigned narrow
+        loads) drop 64-bit masks where a sum, product or shift provably
+        cannot wrap.
 
         The retire-count model: ``n`` accumulates completed loop iterations
         and skip compensations; every exit returns ``n`` plus the exiting
@@ -1536,13 +1527,9 @@ class Executor:
             if self._t2_deopts.get(head, 0) < self._T2_MAX_DEOPTS
             else None
         )
-        spec_used = set()   # range-speculated registers (bound guard)
         spec_exact = {}     # exactly-speculated registers -> pinned value
         nox = self._t2_nospec.get(head, ())
-        nor = self._t2_norange.get(head, ())
-        nobase = self._t2_nobase.get(head, ())
         kpages = {}         # (lane, page) -> prologue-bound view local
-        kbases = {}         # base reg -> pinned-base lane bookkeeping
         need_hookgen = [False]  # a compile folded a "no hook here" check
         hook_gen0 = self.memory.hook_gen
         posbox = [0]      # 1-based position of the instruction being emitted
@@ -1571,31 +1558,10 @@ class Executor:
             body.append((ind, "§WB§", tuple(sorted(written))))
 
         def ubget(r):
-            """Peek ``r``'s proven upper bound (no commitment), or None.
-
-            A register that still holds its function-entry value (never
-            written in the trace so far) may get a *speculated* bound when
-            its live value at promotion time is small: the render step emits
-            a one-time entry guard over every register speculated this way,
-            so a bound consulted here is genuinely true on every call that
-            gets past the guard (violations deoptimize before any state
-            change).
-            """
+            """Peek ``r``'s proven upper bound (no commitment), or None."""
             if r == 0:
                 return 0
-            ub = ubound.get(r)
-            if (
-                ub is None
-                and spec_vals is not None
-                and r not in last_write
-                and r not in nor
-                and spec_vals[r] <= self._T2_SPEC_BOUND
-            ):
-                spec_used.add(r)
-                reg(r)  # guard reads the local: force the prologue load
-                ub = self._T2_SPEC_BOUND
-                ubound[r] = ub
-            return ub
+            return ubound.get(r)
 
         def kreg(r):
             """True when ``r``'s value is statically known, speculating the
@@ -1624,53 +1590,6 @@ class Executor:
                 ubound[r] = v
                 return True
             return False
-
-        def kbase(rs1, imm, size, pc, store):
-            """Pinned-base lane admission for a load/store off ``rs1``.
-
-            For a base register never written in the trace (typically a
-            buffer pointer that *varies* across calls, so exact pinning was
-            deopt-banned), the prologue binds its page view and element
-            index once per call; every access off it becomes a single
-            indexed view access plus, for nonzero offsets, one page-crossing
-            compare with a scalar fallback.  Entry-guard terms (emitted at
-            render time from the recorded bookkeeping) enforce base
-            alignment and that no MMIO hook lies inside the accessed window,
-            so the per-access alignment and hook checks fold away; the
-            compile-time hook set itself is pinned by the hook-generation
-            guard.  Returns ``(view, index, element_offset, limit)`` names
-            for the emitter, or None when the access does not qualify.
-            """
-            if (
-                not HOST_IS_LITTLE_ENDIAN
-                or not self._direct_memory
-                or spec_vals is None
-                or rs1 == 0
-                or imm < 0
-                or imm % size
-                or pc in banned
-                or rs1 in last_write
-                or rs1 in nobase
-                or spec_vals[rs1] & (size - 1)
-            ):
-                return None
-            info = kbases.get(rs1)
-            if info is None:
-                info = kbases[rs1] = {
-                    "align": 1, "span": 0, "sspan": 0, "lanes": set(),
-                }
-            lane, shift = _T2_LANES[size]
-            info["align"] = max(info["align"], size)
-            info["span"] = max(info["span"], imm + size)
-            if store:
-                info["sspan"] = max(info["sspan"], imm + size)
-            info["lanes"].add(lane)
-            need_hookgen[0] = True
-            ubuse(pc, rs1)
-            reg(rs1)  # the prologue bindings read the local
-            kk = imm >> shift
-            limit = (4096 >> shift) - kk if kk else None
-            return f"p{lane}{rs1}", f"i{lane}{rs1}", kk, limit
 
         def ubuse(pc, *regs):
             """Commit to the peeked bounds of ``regs``.
@@ -2150,12 +2069,11 @@ class Executor:
                         # No hook at this address (guarded): the access has
                         # no observable effect, so emit nothing at all.
                         return True
-                    lane = {8: "q", 4: "w", 2: "h", 1: "b"}[size]
+                    lane, shift = _T2_LANES[size]
                     key = (lane, ka >> 12)
                     name = kpages.get(key)
                     if name is None:
                         name = kpages[key] = f"v{lane}{ka >> 12:x}"
-                    shift = {8: 3, 4: 2, 2: 1, 1: 0}[size]
                     fetch = f"{name}[{(ka & 4095) >> shift}]"
                     if mnemonic == "lw":
                         setreg(rd, f"(({fetch} ^ 0x80000000) - 0x80000000)"
@@ -2165,31 +2083,6 @@ class Executor:
                                ind, record=record)
                     elif mnemonic == "lb":
                         setreg(rd, f"(({fetch} ^ 0x80) - 0x80) & {M}",
-                               ind, record=record)
-                    else:  # ld / lwu / lhu / lbu
-                        setreg(rd, fetch, ind, record=record,
-                               ub=(1 << (8 * size)) - 1 if size < 8 else None)
-                    return True
-                lane = None if rd == 0 or ka is not None else kbase(
-                    rs1, imm, size, pc, store=False
-                )
-                if lane is not None:
-                    pv, iv, kk, limit = lane
-                    if limit is None:
-                        fetch = f"{pv}[{iv}]"
-                    else:
-                        fetch = (
-                            f"{pv}[{iv} + {kk}] if {iv} < {limit}"
-                            f" else rd_(({reg(rs1)} + {imm}) & {M}, {size})"
-                        )
-                    if mnemonic == "lw":
-                        setreg(rd, f"((({fetch}) ^ 0x80000000) - 0x80000000)"
-                               f" & {M}", ind, record=record)
-                    elif mnemonic == "lh":
-                        setreg(rd, f"((({fetch}) ^ 0x8000) - 0x8000) & {M}",
-                               ind, record=record)
-                    elif mnemonic == "lb":
-                        setreg(rd, f"((({fetch}) ^ 0x80) - 0x80) & {M}",
                                ind, record=record)
                     else:  # ld / lwu / lhu / lbu
                         setreg(rd, fetch, ind, record=record,
@@ -2305,12 +2198,11 @@ class Executor:
                     if rs1 != 0:
                         fold(rs1, pc)
                     need_hookgen[0] = True
-                    lane = {8: "q", 4: "w", 2: "h", 1: "b"}[size]
+                    lane, shift = _T2_LANES[size]
                     key = (lane, ka >> 12)
                     name = kpages.get(key)
                     if name is None:
                         name = kpages[key] = f"v{lane}{ka >> 12:x}"
-                    shift = {8: 3, 4: 2, 2: 1, 1: 0}[size]
                     if size == 8:
                         value = reg(rs2)
                     else:
@@ -2325,47 +2217,6 @@ class Executor:
                     body.append((ind, "else:"))
                     body.append((
                         ind + 1, f"{name}[{(ka & 4095) >> shift}] = {value}"
-                    ))
-                    return True
-                lane = None if ka is not None else kbase(
-                    rs1, imm, size, pc, store=True
-                )
-                if lane is not None:
-                    pv, iv, kk, limit = lane
-                    if size == 8:
-                        value = reg(rs2)
-                    else:
-                        value = f"{reg(rs2)} & {(1 << (8 * size)) - 1:#x}"
-                    sflag = f"sb{rs1}"
-                    if limit is None:
-                        body.append((ind, f"if {sflag}:"))
-                        body.append((ind + 1, f"{pv}[{iv}] = {value}"))
-                    else:
-                        body.append((
-                            ind, f"if {sflag} and {iv} < {limit}:"
-                        ))
-                        body.append((ind + 1, f"{pv}[{iv} + {kk}] = {value}"))
-                    # Slow arm: page-crossing or possible code overlap.  No
-                    # hook can match in the guarded window, so no E.stop
-                    # check is needed; the overlap test mirrors the scalar
-                    # store path and exits through the SMC protocol.
-                    body.append((ind, "else:"))
-                    if imm:
-                        body.append((
-                            ind + 1, f"a = ({reg(rs1)} + {imm}) & {M}"
-                        ))
-                        sav = "a"
-                    else:
-                        sav = reg(rs1)
-                    body.append((ind + 1, f"wr_({sav}, {size}, {reg(rs2)})"))
-                    body.append((
-                        ind + 1,
-                        f"if {sav} < cb[1] and {sav} + {size} > cb[0]:",
-                    ))
-                    wb(ind + 2)
-                    body.append((ind + 2, f"E._invalidate({sav}, {size})"))
-                    body.append((
-                        ind + 2, f"raise _bx({pc + 4}, n + {pos})"
                     ))
                     return True
                 simple = rs1 != 0 and imm == 0
@@ -2574,29 +2425,6 @@ class Executor:
                     # ``ret`` fold back to this call site.
                     setreg(rd, f"{pc + 4}", cur, known=pc + 4)
                 count += 1
-                # Value speculation: predict the dynamic target from the
-                # register file as it stands at promotion time (for the
-                # common indirect-call idiom — a function pointer that is
-                # loop-invariant at runtime — this is exact).  A runtime
-                # guard keeps the compiled code correct on any target: a
-                # mispredict simply exits the trace where it used to end
-                # unconditionally.
-                guess = None
-                if rs1 != 0:
-                    guess = (self.hart.regs[rs1] + imm) & (MASK64 & ~1)
-                    if guess == 0 or (guess in visited and not unrolling):
-                        guess = None
-                    else:
-                        try:
-                            self.fetch_decode(guess)
-                        except (DecodingError, SimulationError):
-                            guess = None
-                if guess is not None:
-                    body.append((cur, f"if t != {guess}:"))
-                    wb(cur + 1)
-                    body.append((cur + 1, f"return t, n + {count}"))
-                    pc = guess
-                    continue
                 wb(cur)
                 body.append((cur, f"return t, n + {count}"))
                 open_end = False
@@ -2816,30 +2644,15 @@ class Executor:
             for r in loads:
                 lines.append(f"    x{r} = R[{r}]")
         # Entry guard for every speculation the walk consulted — hook-set
-        # generation, exactly-pinned registers, then range bounds — as one
-        # chained test before any state changes, so a miss can deoptimize
-        # with nothing to unwind.  Exact pins read ``R`` directly (their
-        # uses were folded away, so no local need exist); range bounds read
-        # the prologue-loaded locals.
+        # generation, then exactly-pinned registers — as one chained test
+        # before any state changes, so a miss can deoptimize with nothing to
+        # unwind.  Exact pins read ``R`` directly (their uses were folded
+        # away, so no local need exist).
         terms = []
         if need_hookgen[0]:
             terms.append(f"mem.hook_gen != {hook_gen0}")
         for r in sorted(spec_exact):
             terms.append(f"R[{r}] != {spec_exact[r]}")
-        for r in sorted(spec_used - spec_exact.keys()):
-            terms.append(f"x{r} > {self._T2_SPEC_BOUND}")
-        # Pinned-base terms: alignment, plus a window test per MMIO hook so
-        # no access through the base can land on a hooked address (which
-        # lets every per-access hook check fold away).
-        hooks = sorted(
-            set(self.memory._read_hooks) | set(self.memory._write_hooks)
-        )
-        for r in sorted(kbases):
-            info = kbases[r]
-            if info["align"] > 1:
-                terms.append(f"x{r} & {info['align'] - 1}")
-            for h in hooks:
-                terms.append(f"{h - info['span']} < x{r} <= {h}")
         if terms:
             lines.append(f"    if {' or '.join(terms)}:")
             lines.append("        raise _dg")
@@ -2850,22 +2663,6 @@ class Executor:
         creators = {"q": "qc", "w": "qwc", "h": "qhc", "b": "qbc"}
         for (lane, page), name in sorted(kpages.items()):
             lines.append(f"    {name} = {creators[lane]}({page})")
-        # Pinned-base bindings: page view and element index of the base,
-        # and (for stores) one code-overlap boolean covering the window.
-        for r in sorted(kbases):
-            info = kbases[r]
-            for lane in sorted(info["lanes"]):
-                shift = _T2_LANE_SHIFTS[lane]
-                lines.append(
-                    f"    p{lane}{r} = {creators[lane]}(x{r} >> 12)"
-                )
-                idx = f"(x{r} & 4095) >> {shift}" if shift else f"x{r} & 4095"
-                lines.append(f"    i{lane}{r} = {idx}")
-            if info["sspan"]:
-                lines.append(
-                    f"    sb{r} = x{r} >= cb[1]"
-                    f" or x{r} + {info['sspan']} <= cb[0]"
-                )
         lines.append("    n = 0")
         for i, entry in enumerate(body):
             ind, text = entry[0], entry[1]
@@ -2892,15 +2689,12 @@ class Executor:
             count,
             covered,
             spec_exact,
-            frozenset(spec_used - spec_exact.keys()),
-            {r: (info["align"], info["span"]) for r, info in kbases.items()},
         )
 
 
 #: Access size -> (view-lane letter, element-index shift) for the tier-2
-#: pinned-base and constant-address memory lanes.
+#: constant-address memory lanes.
 _T2_LANES = {8: ("q", 3), 4: ("w", 2), 2: ("h", 1), 1: ("b", 0)}
-_T2_LANE_SHIFTS = {"q": 3, "w": 2, "h": 1, "b": 0}
 
 #: Register-writing instructions whose only effect is ``rd = f(operands)``;
 #: with ``rd == x0`` they compile to a pure no-op.

@@ -4,7 +4,7 @@ Locks down the contract of the exec-compiled tier (see docs/simulator.md):
 
 * tier-2 execution is bit-identical to the tier-1 threaded-code engine on
   RV64IM edge semantics (lockstep runs over the same programs),
-* speculation (exact-value, range, pinned-base, hook-set) deoptimizes
+* speculation (exact entry values, the MMIO hook set) deoptimizes
   safely — entry-guard failure falls back to tier 1, pruning lets the head
   re-promote against the live values, and results never change,
 * self-modifying code de-promotes compiled superblocks,
@@ -67,7 +67,7 @@ def final_state(words, regs, threshold, data=None, data_words=16, **kwargs):
 
 def assert_lockstep(words, regs, data=None):
     """Tier-1-only and tier-2-forced runs must agree bit for bit."""
-    r1, n1, m1, ex1 = final_state(words, regs, threshold=0, data=data, tier2=False)
+    r1, n1, m1, ex1 = final_state(words, regs, threshold=0, data=data)
     r2, n2, m2, ex2 = final_state(words, regs, threshold=32, data=data)
     assert ex1.tier2_blocks == 0
     assert ex2.tier2_blocks > 0, "tier 2 never engaged — test is vacuous"
@@ -120,8 +120,9 @@ class TestTierLockstep:
 
     def test_memory_lanes_all_widths(self):
         # Loads/stores of every width through a loop-invariant base: the
-        # compiled page-view lanes (8/4/2/1 bytes, signed and unsigned
-        # loads) must match the scalar memory path exactly.
+        # base is pinned by exact-value speculation, so the compiled
+        # constant-address page-view lanes (8/4/2/1 bytes, signed and
+        # unsigned loads) must match the scalar memory path exactly.
         words = [
             encode_instruction("ld", 6, 21, 0),
             encode_instruction("lw", 7, 21, 8),      # sign-extends
@@ -151,8 +152,9 @@ class TestTierLockstep:
         assert_lockstep(words, regs, data=data)
 
     def test_page_crossing_base_walk(self):
-        # The base register walks across a page boundary, so the compiled
-        # pinned-base lane must take its page-crossing slow path mid-run.
+        # The base register walks across several pages, so compiled loads
+        # and stores through it must stay coherent with the scalar path on
+        # every page.
         words = [
             encode_instruction("ld", 6, 21, 0),
             encode_instruction("add", 28, 28, 6),
@@ -204,7 +206,7 @@ class TestTierLockstep:
         ]
         regs = {5: 300, 20: 7, 21: 9}
         results = []
-        for threshold, tier2 in ((0, False), (32, True)):
+        for threshold in (0, 32):
             memory = SparseMemory()
             for index, word in enumerate(words):
                 memory.write(BASE + 4 * index, 4, word)
@@ -212,13 +214,13 @@ class TestTierLockstep:
             for reg, value in regs.items():
                 hart.regs[reg] = value
             executor = Executor(
-                hart, memory, promote_threshold=threshold, tier2=tier2,
+                hart, memory, promote_threshold=threshold,
                 counter_csrs=(0xC00, 0xC02),
             )
             executor.csr_provider = lambda addr, e=executor: e.retired
             run_to_trap(executor)
             results.append((list(hart.regs), executor.retired))
-            if tier2:
+            if threshold:
                 assert executor.tier2_blocks > 0
         assert results[0] == results[1]
 
