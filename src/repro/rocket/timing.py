@@ -21,6 +21,10 @@ that needs per-step synchronized state:
   so they stay interpreted),
 * anything the emitter does not model (defensive: unknown mnemonics).
 
+The architectural effect of each ALU, load and branch instruction is
+rendered from :mod:`repro.isa.semantics` with ``R[...]`` register-file
+subscripts, the same table tier 1 and tier 2 render from.
+
 Conditional branches become guarded early exits; a backward branch (or
 ``jal``) to the span head closes a native ``while`` loop with a fuel check at
 the back edge so the instruction budget is never overshot.  The generated
@@ -58,18 +62,18 @@ and the paper's measurement); LRU configurations keep the interpreted loop.
 from __future__ import annotations
 
 from repro.errors import DecodingError, SimulationError
-from repro.sim.executor import (
+from repro.isa.semantics import (
+    ALU,
+    BRANCHES,
+    HELPERS,
+    LOADS,
     MASK64,
-    _ALU_MNEMONICS,
-    _DIV_MNEMONICS,
-    _LOAD_SIZES,
-    _MUL_MNEMONICS,
-    _SIGN64,
-    _STORE_SIZES,
-    _div32,
-    _div64,
-    _rem32,
-    _rem64,
+    SIGN64,
+    STORE_SIZES,
+    TC_DIV,
+    TC_MUL,
+    TC_OTHER,
+    render,
 )
 
 #: Redirect arrivals at a pc before a timing span is compiled there.  Spans
@@ -95,18 +99,16 @@ MAX_SPAN = 256
 #: tuple overhead would eat the win.  Loops always compile.
 MIN_SPAN = 2
 
-_BRANCHES = frozenset({"beq", "bne", "blt", "bge", "bltu", "bgeu"})
 
-#: Everything the emitter below can fold.  Any other mnemonic (CSRs, ecall,
-#: ebreak, fence.i, rocc, future extensions) ends the walk *before* being
-#: included and stays interpreted.
-_KNOWN = (
-    _ALU_MNEMONICS
-    | frozenset(_LOAD_SIZES)
-    | frozenset(_STORE_SIZES)
-    | _BRANCHES
-    | frozenset({"jal", "jalr", "fence"})
-)
+
+def _known(mnemonic: str) -> bool:
+    """Everything the emitter below can fold.  Any other mnemonic (CSRs,
+    ecall, ebreak, fence.i, rocc, future extensions) ends the walk *before*
+    being included and stays interpreted."""
+    return (
+        mnemonic in ALU or mnemonic in LOADS or mnemonic in STORE_SIZES
+        or mnemonic in BRANCHES or mnemonic in ("jal", "jalr", "fence")
+    )
 
 
 # ----------------------------------------------------------------------- walk
@@ -133,9 +135,9 @@ def _walk(executor, head):
         except (DecodingError, SimulationError):
             return items, ("fall", p)
         m = d.mnemonic
-        if m not in _KNOWN:
+        if not _known(m):
             return items, ("fall", p)
-        if m in _BRANCHES:
+        if m in BRANCHES:
             taken = (p + d.imm) & MASK64
             if taken == head and items:
                 items.append((p, d, "loopbr"))
@@ -155,9 +157,9 @@ def _walk(executor, head):
         elif m == "jalr":
             items.append((p, d, "jalr"))
             return items, ("jalr",)
-        elif m in _LOAD_SIZES:
+        elif m in LOADS:
             items.append((p, d, "load"))
-        elif m in _STORE_SIZES:
+        elif m in STORE_SIZES:
             items.append((p, d, "store"))
         else:
             items.append((p, d, "alu"))
@@ -166,157 +168,54 @@ def _walk(executor, head):
 
 
 # ----------------------------------------------------------------- arch lines
+def _operand(name, d):
+    """Timing-span spelling of a semantics-template placeholder (``M`` and
+    ``S`` are bound to the mask and sign bit in the span namespace)."""
+    if name == "imm":
+        return f"{d.imm}"
+    if name == "uimm":
+        return f"{d.imm & MASK64}"
+    if name == "M":
+        return "M"
+    reg = f"R[{d.rs1 if name in ('A', 'SA') else d.rs2}]"
+    return f"(({reg} ^ S) - S)" if name[0] == "S" else reg
+
+
 def _alu_arch(pc, d):
-    """Source lines for the architectural effect of one ALU instruction.
-
-    Mirrors the tier-1 closures in ``Executor._build`` expression for
-    expression (including the rd == x0 discard).
-    """
-    m = d.mnemonic
-    rd, a, b, imm = d.rd, d.rs1, d.rs2, d.imm
-    if m == "fence" or rd == 0:
+    """Source lines for the architectural effect of one ALU instruction,
+    rendered from its semantics-table entry (rd == x0 writes nothing)."""
+    entry = ALU.get(d.mnemonic)
+    if entry is None or d.rd == 0:  # fence, or a discarded write
         return []
-    A = f"R[{a}]"
-    B = f"R[{b}]"
-    sA = f"(({A} ^ S) - S)"
-    sB = f"(({B} ^ S) - S)"
-
-    def s32(expr):
-        return f"(({expr} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000"
-
-    D = f"R[{rd}]"
-    if m == "add":
-        return [f"{D} = ({A} + {B}) & M"]
-    if m == "addi":
-        return [f"{D} = ({A} + {imm}) & M"]
-    if m == "sub":
-        return [f"{D} = ({A} - {B}) & M"]
-    if m == "and":
-        return [f"{D} = {A} & {B}"]
-    if m == "andi":
-        return [f"{D} = {A} & {imm & MASK64}"]
-    if m == "or":
-        return [f"{D} = {A} | {B}"]
-    if m == "ori":
-        return [f"{D} = {A} | {imm & MASK64}"]
-    if m == "xor":
-        return [f"{D} = {A} ^ {B}"]
-    if m == "xori":
-        return [f"{D} = {A} ^ {imm & MASK64}"]
-    if m == "sll":
-        return [f"{D} = ({A} << ({B} & 0x3F)) & M"]
-    if m == "slli":
-        return [f"{D} = ({A} << {imm}) & M"]
-    if m == "srl":
-        return [f"{D} = {A} >> ({B} & 0x3F)"]
-    if m == "srli":
-        return [f"{D} = {A} >> {imm}"]
-    if m == "sra":
-        return [f"{D} = ({sA} >> ({B} & 0x3F)) & M"]
-    if m == "srai":
-        return [f"{D} = ({sA} >> {imm}) & M"]
-    if m == "slt":
-        return [f"{D} = 1 if {sA} < {sB} else 0"]
-    if m == "slti":
-        return [f"{D} = 1 if {sA} < {imm} else 0"]
-    if m == "sltu":
-        return [f"{D} = 1 if {A} < {B} else 0"]
-    if m == "sltiu":
-        return [f"{D} = 1 if {A} < {imm & MASK64} else 0"]
-    if m == "addw":
-        return [f"{D} = ({s32(f'{A} + {B}')}) & M"]
-    if m == "addiw":
-        return [f"{D} = ({s32(f'{A} + {imm}')}) & M"]
-    if m == "subw":
-        return [f"{D} = ({s32(f'{A} - {B}')}) & M"]
-    if m == "sllw":
-        return [f"{D} = ({s32(f'{A} << ({B} & 0x1F)')}) & M"]
-    if m == "slliw":
-        return [f"{D} = ({s32(f'{A} << {imm}')}) & M"]
-    if m == "srlw":
-        return [f"{D} = ({s32(f'({A} & 0xFFFFFFFF) >> ({B} & 0x1F)')}) & M"]
-    if m == "srliw":
-        return [f"{D} = ({s32(f'({A} & 0xFFFFFFFF) >> {imm}')}) & M"]
-    if m == "sraw":
-        return [f"{D} = (({s32(A)}) >> ({B} & 0x1F)) & M"]
-    if m == "sraiw":
-        return [f"{D} = (({s32(A)}) >> {imm}) & M"]
-    if m == "mul":
-        return [f"{D} = ({A} * {B}) & M"]
-    if m == "mulh":
-        return [f"{D} = (({sA} * {sB}) >> 64) & M"]
-    if m == "mulhu":
-        return [f"{D} = ({A} * {B}) >> 64"]
-    if m == "mulhsu":
-        return [f"{D} = (({sA} * {B}) >> 64) & M"]
-    if m == "mulw":
-        return [f"{D} = ({s32(f'{A} * {B}')}) & M"]
-    if m == "div":
-        return [f"{D} = d64({A}, {B})"]
-    if m == "divu":
-        return [f"t = {B}", f"{D} = M if t == 0 else {A} // t"]
-    if m == "rem":
-        return [f"{D} = r64({A}, {B})"]
-    if m == "remu":
-        return [f"t = {B}", f"{D} = {A} if t == 0 else {A} % t"]
-    if m == "divw":
-        return [f"{D} = d32({A}, {B})"]
-    if m == "divuw":
-        return [
-            f"t = {B} & 0xFFFFFFFF",
-            f"{D} = M if t == 0 else ({s32(f'({A} & 0xFFFFFFFF) // t')}) & M",
-        ]
-    if m == "remw":
-        return [f"{D} = r32({A}, {B})"]
-    if m == "remuw":
-        return [
-            f"t = {A} & 0xFFFFFFFF",
-            f"u = {B} & 0xFFFFFFFF",
-            f"{D} = ({s32('t')}) & M if u == 0 else ({s32('t % u')}) & M",
-        ]
-    if m == "lui":
-        return [f"{D} = {d.imm & MASK64}"]
-    if m == "auipc":
-        return [f"{D} = {(pc + d.imm) & MASK64}"]
-    raise AssertionError(f"unhandled ALU mnemonic {m!r}")  # pragma: no cover
+    if not entry.reads:
+        return [f"R[{d.rd}] = {entry.value(0, 0, d.imm, pc)}"]
+    return [f"R[{d.rd}] = " + render(entry.expr, lambda name: _operand(name, d))]
 
 
 def _load_arch(d):
     """Architectural lines for a load; ``ad`` holds the effective address."""
-    m = d.mnemonic
+    size, sign = LOADS[d.mnemonic]
     rd = d.rd
-    size = _LOAD_SIZES[m]
-    sign_bit = {"lw": 0x80000000, "lh": 0x8000, "lb": 0x80}.get(m)
     if rd == 0:
         # x0 loads still access memory (and the D-cache) but discard the
-        # value — mirror the tier-1 closure exactly.
+        # value, as tier 1 does.
         return [f"rd_(ad, {size})"]
-    if sign_bit is None:
+    if not sign:
         return [f"R[{rd}] = rd_(ad, {size})"]
     return [
         f"t = rd_(ad, {size})",
-        f"R[{rd}] = ((t ^ {sign_bit}) - {sign_bit}) & M",
+        f"R[{rd}] = ((t ^ {sign}) - {sign}) & M",
     ]
 
 
 def _cond_expr(d):
-    """The branch-taken condition, identical to the tier-1 ``cond``."""
-    m = d.mnemonic
-    A = f"R[{d.rs1}]"
-    B = f"R[{d.rs2}]"
-    if m == "beq":
-        return f"{A} == {B}"
-    if m == "bne":
-        return f"{A} != {B}"
-    if m == "bltu":
-        return f"{A} < {B}"
-    if m == "bgeu":
-        return f"{A} >= {B}"
-    sA = f"(({A} ^ S) - S)"
-    sB = f"(({B} ^ S) - S)"
-    if m == "blt":
-        return f"{sA} < {sB}"
-    return f"{sA} >= {sB}"  # bge
+    """The branch-taken condition, rendered from the branch table."""
+    return render(BRANCHES[d.mnemonic].cond, lambda name: _operand(name, d))
+
+
+def _timing_class(d):
+    entry = ALU.get(d.mnemonic)
+    return TC_OTHER if entry is None else entry.timing_class
 
 
 # ----------------------------------------------------------------- compile
@@ -366,7 +265,7 @@ def compile_timing_span(emulator, head):
     loadmul = set()
     if loop:
         for _, d, kind in items:
-            if kind == "load" or d.mnemonic in _MUL_MNEMONICS:
+            if kind == "load" or _timing_class(d) == TC_MUL:
                 loadmul.add(d.rd)
     # A loop iteration shorter than the entry window cannot prove entry-time
     # ready values stale by position alone — check every operand then.
@@ -403,11 +302,8 @@ def compile_timing_span(emulator, head):
         "DR": dcache.rng.randrange,
         "DT": dcache._tags,
         "M": MASK64,
-        "S": _SIGN64,
-        "d64": _div64,
-        "r64": _rem64,
-        "d32": _div32,
-        "r32": _rem32,
+        "S": SIGN64,
+        **HELPERS,
     }
 
     emit("def _tb(cycle, fuel):", 0)
@@ -500,14 +396,15 @@ def compile_timing_span(emulator, head):
         m = d.mnemonic
         srcs = (d.rs1, d.rs2)
         if kind == "alu":
-            if m in _MUL_MNEMONICS:
+            timing_class = _timing_class(d)
+            if timing_class == TC_MUL:
                 # The ready write needs the live cycle.
                 emit_cost(pos, srcs, 1, True)
                 for text in _alu_arch(p, d):
                     emit(text, body)
                 emit(f"Y[{d.rd}] = cycle + {mul_lat - 1}", body)
                 note_setter(d.rd, pos, mul_lat)
-            elif m in _DIV_MNEMONICS:
+            elif timing_class == TC_DIV:
                 # The iterative divider blocks the pipeline: a flat cost,
                 # no ready shadow — foldable into the pending constant.
                 emit_cost(pos, srcs, div_lat, False)
@@ -526,7 +423,7 @@ def compile_timing_span(emulator, head):
             emit(f"Y[{d.rd}] = cycle + {load_use - 1}", body)
             note_setter(d.rd, pos, load_use)
         elif kind == "store":
-            size = _STORE_SIZES[m]
+            size = STORE_SIZES[m]
             emit_cost(pos, srcs, 1, True)
             emit(f"ad = (R[{d.rs1}] + {d.imm}) & M", body)
             emit(f"wr_(ad, {size}, R[{d.rs2}])", body)

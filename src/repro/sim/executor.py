@@ -21,7 +21,10 @@ time it is executed:
   **specialized closure** with every operand pre-bound — register indices,
   sign-extended and pre-masked immediates, branch targets, ``pc + 4`` — so
   executing the instruction is a single closure call with no decode, no
-  dispatch and no dead work.
+  dispatch and no dead work.  Integer ALU, load and branch closures are
+  rendered from :mod:`repro.isa.semantics`, the one description of the
+  RV64IM semantics that tier 2 and the Rocket timing spans render from
+  too: tier 1 execs one closure factory per table entry.
 * Closures are stored in a **PC-indexed dispatch table** (``_ops``), so the
   hot loop never even re-fetches the instruction word from memory.
 * Every instruction gets *two* closures: a **fast op** used by
@@ -59,6 +62,9 @@ through conditional branches (fall-through) and ``jal`` targets, stopping at
 words, revisited PCs and a length cap — and generates straight-line Python
 source with the touched registers held in **locals**, every immediate and
 branch target folded to a constant, and no per-instruction dispatch at all.
+Each instruction's line is its semantics-table template with the operand
+locals substituted; folding an instruction with known operands evaluates
+the same entry.
 Back-edges to the block head become a native ``while`` loop, so a hot inner
 loop runs entirely inside one compiled function with the register file
 loaded once.  The source is ``exec``-compiled into a single function per
@@ -104,28 +110,26 @@ from time import perf_counter
 from repro.errors import DecodingError, SimulationError, TrapError
 from repro.isa import csr as csrdefs
 from repro.isa.decoder import decode_cached
+from repro.isa.semantics import (
+    ALU,
+    BRANCHES,
+    CONST,
+    HELPERS,
+    LOADS,
+    MASK64,
+    SIGN64,
+    STORE_SIZES,
+    TC_BRANCH,
+    TC_DIV,
+    TC_JUMP,
+    TC_MEM,
+    TC_MUL,
+    TC_OTHER,
+    TC_ROCC,
+    fields,
+    render,
+)
 from repro.sim.memory import HOST_IS_LITTLE_ENDIAN, SparseMemory
-
-MASK64 = 0xFFFFFFFFFFFFFFFF
-_SIGN64 = 1 << 63
-_INT64_MIN = -(1 << 63)
-_INT32_MIN = -(1 << 31)
-
-#: Static timing classes, assigned to :attr:`ExecInfo.timing_class` at compile
-#: time so the cycle-accurate models never need to classify mnemonics per step.
-TC_OTHER = 0
-TC_MEM = 1
-TC_MUL = 2
-TC_DIV = 3
-TC_ROCC = 4
-TC_JUMP = 5
-TC_BRANCH = 6
-
-
-def _signed32(value: int) -> int:
-    value &= 0xFFFFFFFF
-    return (value ^ 0x80000000) - 0x80000000
-
 
 class _SlowPath(Exception):
     """Internal: the fast table defers this PC to the info-op path."""
@@ -342,69 +346,51 @@ class ExecProfile:
         return "\n".join(lines)
 
 
-# --------------------------------------------------------------------- helpers
-def _div64(a: int, b: int) -> int:
-    """RV64 ``div``: C-style truncation, -1 on /0, INT_MIN on overflow."""
-    sa = (a ^ _SIGN64) - _SIGN64
-    sb = (b ^ _SIGN64) - _SIGN64
-    if sb == 0:
-        return MASK64
-    if sa == _INT64_MIN and sb == -1:
-        return a
-    quotient = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        quotient = -quotient
-    return quotient & MASK64
+# --------------------------------------------------------- tier-1 renderer
+#: How tier-1 closures spell each template placeholder: closure variables
+#: for the operands, module globals for the constants.
+_T1_FIELDS = {
+    "A": "regs[rs1]", "B": "regs[rs2]",
+    "SA": "((regs[rs1] ^ _SIGN64) - _SIGN64)",
+    "SB": "((regs[rs2] ^ _SIGN64) - _SIGN64)",
+    "imm": "imm", "uimm": "uimm", "M": "MASK64",
+}
+
+_T1_ALU = """\
+def factory(regs, rd, rs1, rs2, imm, uimm, next_pc):
+    def fast():
+        regs[rd] = {code}
+        return next_pc
+    return fast
+"""
+
+_T1_BRANCH = """\
+def factory(regs, rs1, rs2, taken_pc, next_pc):
+    def fast():
+        return taken_pc if {code} else next_pc
+    def cond():
+        return {code}
+    return fast, cond
+"""
+
+#: Semantics-table entry -> its exec-compiled tier-1 closure factory.
+_T1_FACTORIES = {}
 
 
-def _rem64(a: int, b: int) -> int:
-    sa = (a ^ _SIGN64) - _SIGN64
-    sb = (b ^ _SIGN64) - _SIGN64
-    if sb == 0:
-        return sa & MASK64
-    if sa == _INT64_MIN and sb == -1:
-        return 0
-    quotient = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        quotient = -quotient
-    return (sa - sb * quotient) & MASK64
+def _t1_factory(entry, template, text):
+    """The closure factory for ``entry``, exec'd on its first use.
 
+    The closures it makes are what a hand-written ``def fast()`` would be:
+    operands pre-bound as closure variables, no per-call dispatch.
+    """
+    factory = _T1_FACTORIES.get(entry)
+    if factory is None:
+        namespace = dict(HELPERS, MASK64=MASK64, _SIGN64=SIGN64)
+        source = template.format(code=render(text, _T1_FIELDS.__getitem__))
+        exec(compile(source, "<tier1>", "exec"), namespace)
+        factory = _T1_FACTORIES[entry] = namespace["factory"]
+    return factory
 
-def _div32(a: int, b: int) -> int:
-    sa = _signed32(a)
-    sb = _signed32(b)
-    if sb == 0:
-        return MASK64
-    if sa == _INT32_MIN and sb == -1:
-        return _INT32_MIN & MASK64
-    quotient = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        quotient = -quotient
-    return _signed32(quotient) & MASK64
-
-
-def _rem32(a: int, b: int) -> int:
-    sa = _signed32(a)
-    sb = _signed32(b)
-    if sb == 0:
-        return _signed32(sa) & MASK64
-    if sa == _INT32_MIN and sb == -1:
-        return 0
-    quotient = abs(sa) // abs(sb)
-    if (sa < 0) != (sb < 0):
-        quotient = -quotient
-    return _signed32(sa - sb * quotient) & MASK64
-
-
-def _s32expr(expr: str) -> str:
-    """Source text computing ``_signed32(expr)`` inline (a Python int)."""
-    return f"(({expr} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000"
-
-
-_LOAD_SIZES = {"ld": 8, "lw": 4, "lwu": 4, "lh": 2, "lhu": 2, "lb": 1, "lbu": 1}
-_STORE_SIZES = {"sd": 8, "sw": 4, "sh": 2, "sb": 1}
-_MUL_MNEMONICS = frozenset({"mul", "mulh", "mulhu", "mulhsu", "mulw"})
-_DIV_MNEMONICS = frozenset({"div", "divu", "rem", "remu", "divw", "divuw", "remw", "remuw"})
 
 #: Instructions that end a tier-2 trace *before* being included: they need
 #: synchronized architectural state (CSR reads, traps), flush the compiled
@@ -415,8 +401,6 @@ _T2_STOPPERS = frozenset({
     "csrrs", "csrrw", "csrrc", "csrrsi", "csrrwi", "csrrci",
     "ecall", "ebreak", "fence.i",
 })
-
-_T2_BRANCHES = frozenset({"beq", "bne", "blt", "bge", "bltu", "bgeu"})
 
 #: Longest forward skip (instructions) folded into an if/else diamond.
 _T2_MAX_SKIP = 8
@@ -783,7 +767,7 @@ class Executor:
         self._blocks[pc] = ops
         return ops
 
-    def _build(self, pc: int, decoded, info):  # noqa: C901 - one arm per instruction
+    def _build(self, pc: int, decoded, info):  # noqa: C901 - one arm per class
         hart = self.hart
         regs = hart.regs
         memory = self.memory
@@ -801,268 +785,60 @@ class Executor:
                 return result_info
             return op
 
-        fast = None
+        # --- integer ALU: closures rendered from the semantics table ---------
+        entry = ALU.get(mnemonic)
+        if entry is not None:
+            info.timing_class = entry.timing_class
+            if rd == 0:
+                # Writes to x0 are discarded; the whole instruction is a no-op.
+                def fast():
+                    return next_pc
+            elif not entry.reads:
+                constant = entry.value(0, 0, imm, pc)
 
-        # --- integer register-register / register-immediate -----------------
-        if rd == 0 and mnemonic in _ALU_MNEMONICS:
-            # Writes to x0 are discarded; the whole instruction is a no-op.
-            def fast():
-                return next_pc
-        elif mnemonic == "add":
-            def fast():
-                regs[rd] = (regs[rs1] + regs[rs2]) & MASK64
-                return next_pc
-        elif mnemonic == "addi":
-            def fast():
-                regs[rd] = (regs[rs1] + imm) & MASK64
-                return next_pc
-        elif mnemonic == "sub":
-            def fast():
-                regs[rd] = (regs[rs1] - regs[rs2]) & MASK64
-                return next_pc
-        elif mnemonic == "and":
-            def fast():
-                regs[rd] = regs[rs1] & regs[rs2]
-                return next_pc
-        elif mnemonic == "andi":
-            masked = imm & MASK64
-            def fast():
-                regs[rd] = regs[rs1] & masked
-                return next_pc
-        elif mnemonic == "or":
-            def fast():
-                regs[rd] = regs[rs1] | regs[rs2]
-                return next_pc
-        elif mnemonic == "ori":
-            masked = imm & MASK64
-            def fast():
-                regs[rd] = regs[rs1] | masked
-                return next_pc
-        elif mnemonic == "xor":
-            def fast():
-                regs[rd] = regs[rs1] ^ regs[rs2]
-                return next_pc
-        elif mnemonic == "xori":
-            masked = imm & MASK64
-            def fast():
-                regs[rd] = regs[rs1] ^ masked
-                return next_pc
-        elif mnemonic == "sll":
-            def fast():
-                regs[rd] = (regs[rs1] << (regs[rs2] & 0x3F)) & MASK64
-                return next_pc
-        elif mnemonic == "slli":
-            def fast():
-                regs[rd] = (regs[rs1] << imm) & MASK64
-                return next_pc
-        elif mnemonic == "srl":
-            def fast():
-                regs[rd] = regs[rs1] >> (regs[rs2] & 0x3F)
-                return next_pc
-        elif mnemonic == "srli":
-            def fast():
-                regs[rd] = regs[rs1] >> imm
-                return next_pc
-        elif mnemonic == "sra":
-            def fast():
-                regs[rd] = (((regs[rs1] ^ _SIGN64) - _SIGN64) >> (regs[rs2] & 0x3F)) & MASK64
-                return next_pc
-        elif mnemonic == "srai":
-            def fast():
-                regs[rd] = (((regs[rs1] ^ _SIGN64) - _SIGN64) >> imm) & MASK64
-                return next_pc
-        elif mnemonic == "slt":
-            def fast():
-                regs[rd] = 1 if ((regs[rs1] ^ _SIGN64) - _SIGN64) < ((regs[rs2] ^ _SIGN64) - _SIGN64) else 0
-                return next_pc
-        elif mnemonic == "slti":
-            def fast():
-                regs[rd] = 1 if ((regs[rs1] ^ _SIGN64) - _SIGN64) < imm else 0
-                return next_pc
-        elif mnemonic == "sltu":
-            def fast():
-                regs[rd] = 1 if regs[rs1] < regs[rs2] else 0
-                return next_pc
-        elif mnemonic == "sltiu":
-            masked = imm & MASK64
-            def fast():
-                regs[rd] = 1 if regs[rs1] < masked else 0
-                return next_pc
-        # --- RV64 word ops ---------------------------------------------------
-        elif mnemonic == "addw":
-            def fast():
-                regs[rd] = _signed32(regs[rs1] + regs[rs2]) & MASK64
-                return next_pc
-        elif mnemonic == "addiw":
-            def fast():
-                regs[rd] = _signed32(regs[rs1] + imm) & MASK64
-                return next_pc
-        elif mnemonic == "subw":
-            def fast():
-                regs[rd] = _signed32(regs[rs1] - regs[rs2]) & MASK64
-                return next_pc
-        elif mnemonic == "sllw":
-            def fast():
-                regs[rd] = _signed32(regs[rs1] << (regs[rs2] & 0x1F)) & MASK64
-                return next_pc
-        elif mnemonic == "slliw":
-            def fast():
-                regs[rd] = _signed32(regs[rs1] << imm) & MASK64
-                return next_pc
-        elif mnemonic == "srlw":
-            def fast():
-                regs[rd] = _signed32((regs[rs1] & 0xFFFFFFFF) >> (regs[rs2] & 0x1F)) & MASK64
-                return next_pc
-        elif mnemonic == "srliw":
-            def fast():
-                regs[rd] = _signed32((regs[rs1] & 0xFFFFFFFF) >> imm) & MASK64
-                return next_pc
-        elif mnemonic == "sraw":
-            def fast():
-                regs[rd] = (_signed32(regs[rs1]) >> (regs[rs2] & 0x1F)) & MASK64
-                return next_pc
-        elif mnemonic == "sraiw":
-            def fast():
-                regs[rd] = (_signed32(regs[rs1]) >> imm) & MASK64
-                return next_pc
-        # --- M extension ------------------------------------------------------
-        elif mnemonic == "mul":
-            def fast():
-                regs[rd] = (regs[rs1] * regs[rs2]) & MASK64
-                return next_pc
-        elif mnemonic == "mulh":
-            def fast():
-                regs[rd] = ((((regs[rs1] ^ _SIGN64) - _SIGN64) * ((regs[rs2] ^ _SIGN64) - _SIGN64)) >> 64) & MASK64
-                return next_pc
-        elif mnemonic == "mulhu":
-            def fast():
-                regs[rd] = (regs[rs1] * regs[rs2]) >> 64
-                return next_pc
-        elif mnemonic == "mulhsu":
-            def fast():
-                regs[rd] = ((((regs[rs1] ^ _SIGN64) - _SIGN64) * regs[rs2]) >> 64) & MASK64
-                return next_pc
-        elif mnemonic == "mulw":
-            def fast():
-                regs[rd] = _signed32(regs[rs1] * regs[rs2]) & MASK64
-                return next_pc
-        elif mnemonic == "div":
-            def fast():
-                regs[rd] = _div64(regs[rs1], regs[rs2])
-                return next_pc
-        elif mnemonic == "divu":
-            def fast():
-                b = regs[rs2]
-                regs[rd] = MASK64 if b == 0 else regs[rs1] // b
-                return next_pc
-        elif mnemonic == "rem":
-            def fast():
-                regs[rd] = _rem64(regs[rs1], regs[rs2])
-                return next_pc
-        elif mnemonic == "remu":
-            def fast():
-                b = regs[rs2]
-                regs[rd] = regs[rs1] if b == 0 else regs[rs1] % b
-                return next_pc
-        elif mnemonic == "divw":
-            def fast():
-                regs[rd] = _div32(regs[rs1], regs[rs2])
-                return next_pc
-        elif mnemonic == "divuw":
-            def fast():
-                b32 = regs[rs2] & 0xFFFFFFFF
-                regs[rd] = MASK64 if b32 == 0 else _signed32((regs[rs1] & 0xFFFFFFFF) // b32) & MASK64
-                return next_pc
-        elif mnemonic == "remw":
-            def fast():
-                regs[rd] = _rem32(regs[rs1], regs[rs2])
-                return next_pc
-        elif mnemonic == "remuw":
-            def fast():
-                a32 = regs[rs1] & 0xFFFFFFFF
-                b32 = regs[rs2] & 0xFFFFFFFF
-                regs[rd] = _signed32(a32) & MASK64 if b32 == 0 else _signed32(a32 % b32) & MASK64
-                return next_pc
-        # --- upper immediates -------------------------------------------------
-        elif mnemonic == "lui":
-            constant = imm & MASK64
-            def fast():
-                regs[rd] = constant
-                return next_pc
-        elif mnemonic == "auipc":
-            constant = (pc + imm) & MASK64
-            def fast():
-                regs[rd] = constant
-                return next_pc
-
-        if fast is not None and mnemonic in _ALU_MNEMONICS:
-            if mnemonic in _MUL_MNEMONICS:
-                info.timing_class = TC_MUL
-            elif mnemonic in _DIV_MNEMONICS:
-                info.timing_class = TC_DIV
+                def fast():
+                    regs[rd] = constant
+                    return next_pc
+            else:
+                fast = _t1_factory(entry, _T1_ALU, entry.expr)(
+                    regs, rd, rs1, rs2, imm, imm & MASK64, next_pc
+                )
             return fast, alu_info(fast), _KIND_SEQ
 
-        # --- loads ------------------------------------------------------------
-        if mnemonic in _LOAD_SIZES:
-            size = _LOAD_SIZES[mnemonic]
+        # --- loads: one closure shape per width/sign-extension entry ---------
+        if mnemonic in LOADS:
+            size, sign = LOADS[mnemonic]
             read = memory.read
             info.mem_size = size
             info.timing_class = TC_MEM
-            if mnemonic == "ld":
-                if rd:
-                    def fast():
-                        regs[rd] = read((regs[rs1] + imm) & MASK64, 8)
-                        return next_pc
-                else:
-                    def fast():
-                        read((regs[rs1] + imm) & MASK64, 8)
-                        return next_pc
-                fix = None
-            elif mnemonic == "lw":
+            if not rd:
+                # x0 loads still perform the access (MMIO side effects).
                 def fast():
-                    value = read((regs[rs1] + imm) & MASK64, 4)
-                    if rd:
-                        regs[rd] = ((value ^ 0x80000000) - 0x80000000) & MASK64
+                    read((regs[rs1] + imm) & MASK64, size)
                     return next_pc
-                fix = lambda value: ((value ^ 0x80000000) - 0x80000000) & MASK64  # noqa: E731
-            elif mnemonic == "lh":
+            elif sign:
                 def fast():
-                    value = read((regs[rs1] + imm) & MASK64, 2)
-                    if rd:
-                        regs[rd] = ((value ^ 0x8000) - 0x8000) & MASK64
+                    value = read((regs[rs1] + imm) & MASK64, size)
+                    regs[rd] = ((value ^ sign) - sign) & MASK64
                     return next_pc
-                fix = lambda value: ((value ^ 0x8000) - 0x8000) & MASK64  # noqa: E731
-            elif mnemonic == "lb":
+            else:
                 def fast():
-                    value = read((regs[rs1] + imm) & MASK64, 1)
-                    if rd:
-                        regs[rd] = ((value ^ 0x80) - 0x80) & MASK64
+                    regs[rd] = read((regs[rs1] + imm) & MASK64, size)
                     return next_pc
-                fix = lambda value: ((value ^ 0x80) - 0x80) & MASK64  # noqa: E731
-            else:  # lwu / lhu / lbu
-                if rd:
-                    def fast():
-                        regs[rd] = read((regs[rs1] + imm) & MASK64, size)
-                        return next_pc
-                else:
-                    def fast():
-                        read((regs[rs1] + imm) & MASK64, size)
-                        return next_pc
-                fix = None
 
             def info_op():
                 address = (regs[rs1] + imm) & MASK64
                 value = read(address, size)
                 info.mem_addr = address
                 if rd:
-                    regs[rd] = fix(value) if fix is not None else value
+                    regs[rd] = ((value ^ sign) - sign) & MASK64 if sign else value
                 hart.pc = next_pc
                 return info
             return fast, info_op, _KIND_SEQ
 
         # --- stores -----------------------------------------------------------
-        if mnemonic in _STORE_SIZES:
-            size = _STORE_SIZES[mnemonic]
+        if mnemonic in STORE_SIZES:
+            size = STORE_SIZES[mnemonic]
             write = memory.write
             bounds = self._code_bounds
             executor = self
@@ -1136,39 +912,13 @@ class Executor:
                 return info
             return fast, info_op, _KIND_TERM
 
-        if mnemonic in ("beq", "bne", "blt", "bge", "bltu", "bgeu"):
+        branch = BRANCHES.get(mnemonic)
+        if branch is not None:
             taken_pc = (pc + imm) & MASK64
             info.timing_class = TC_BRANCH
-            if mnemonic == "beq":
-                def fast():
-                    return taken_pc if regs[rs1] == regs[rs2] else next_pc
-                def cond():
-                    return regs[rs1] == regs[rs2]
-            elif mnemonic == "bne":
-                def fast():
-                    return taken_pc if regs[rs1] != regs[rs2] else next_pc
-                def cond():
-                    return regs[rs1] != regs[rs2]
-            elif mnemonic == "blt":
-                def fast():
-                    return taken_pc if ((regs[rs1] ^ _SIGN64) - _SIGN64) < ((regs[rs2] ^ _SIGN64) - _SIGN64) else next_pc
-                def cond():
-                    return ((regs[rs1] ^ _SIGN64) - _SIGN64) < ((regs[rs2] ^ _SIGN64) - _SIGN64)
-            elif mnemonic == "bge":
-                def fast():
-                    return taken_pc if ((regs[rs1] ^ _SIGN64) - _SIGN64) >= ((regs[rs2] ^ _SIGN64) - _SIGN64) else next_pc
-                def cond():
-                    return ((regs[rs1] ^ _SIGN64) - _SIGN64) >= ((regs[rs2] ^ _SIGN64) - _SIGN64)
-            elif mnemonic == "bltu":
-                def fast():
-                    return taken_pc if regs[rs1] < regs[rs2] else next_pc
-                def cond():
-                    return regs[rs1] < regs[rs2]
-            else:  # bgeu
-                def fast():
-                    return taken_pc if regs[rs1] >= regs[rs2] else next_pc
-                def cond():
-                    return regs[rs1] >= regs[rs2]
+            fast, cond = _t1_factory(branch, _T1_BRANCH, branch.cond)(
+                regs, rs1, rs2, taken_pc, next_pc
+            )
 
             def info_op():
                 if cond():
@@ -1404,10 +1154,7 @@ class Executor:
             "mem": memory,
             "E": self,
             "cb": self._code_bounds,
-            "d64": _div64,
-            "r64": _rem64,
-            "d32": _div32,
-            "r32": _rem32,
+            **HELPERS,
             "_bx": _BlockExit,
             "_st": _Stopped,
             "_dg": _DEOPT,
@@ -1434,7 +1181,7 @@ class Executor:
         if self.profile is not None:
             self.profile.compiled[head] = (length, seconds)
 
-    def _tier2_source(self, head: int):  # noqa: C901 - one arm per instruction
+    def _tier2_source(self, head: int):
         """Generate straight-line Python source for the trace at ``head``.
 
         Returns ``(source, trace_length, covered_pcs, spec_exact)`` or
@@ -1606,23 +1353,19 @@ class Executor:
                 if r:
                     folds.append((posbox[0], r, last_write.get(r, 0), pc))
 
-        def sreg(r, pc=None):
-            if r == 0:
-                return "0"
-            if pc is not None and pc not in banned:
-                ub = ubget(r)
-                if ub is not None and ub < 0x8000000000000000:
-                    # Proven < 2**63: non-negative as a two's-complement
-                    # value, so the signed view is the value itself.
-                    ubuse(pc, r)
-                    return reg(r)
-            return f"(({reg(r)} ^ 0x8000000000000000) - 0x8000000000000000)"
-
-        def w32(expr):
-            return (
-                f"(((({expr}) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
-                " & 0xFFFFFFFFFFFFFFFF"
+        def unsigned_view(r, pc):
+            """True when ``r`` is proven below 2**63: non-negative as a
+            two's-complement value, so its signed view is the value itself."""
+            ub = ubget(r)
+            return r == 0 or (
+                pc not in banned and ub is not None and ub < 0x8000000000000000
             )
+
+        def sreg(r, pc):
+            if unsigned_view(r, pc):
+                ubuse(pc, r)
+                return reg(r)
+            return f"(({reg(r)} ^ 0x8000000000000000) - 0x8000000000000000)"
 
         M = "0xFFFFFFFFFFFFFFFF"
 
@@ -1673,6 +1416,107 @@ class Executor:
             folds.append((posbox[0], rs, const_def[rs], pc))
             return consts[rs]
 
+        def operand(name, rs1, rs2, imm, pc):
+            """Tier-2 spelling of the semantics-template placeholder ``name``."""
+            if name == "A":
+                return reg(rs1)
+            if name == "B":
+                return reg(rs2)
+            if name == "SA":
+                return sreg(rs1, pc)
+            if name == "SB":
+                return sreg(rs2, pc)
+            if name == "imm":
+                return f"{imm}"
+            if name == "uimm":
+                return f"{imm & MASK64}"
+            return M
+
+        def emit_alu(entry, decoded, pc, ind, record):
+            """Emit ``rd = entry(operands)`` for one semantics-table entry.
+
+            In order: a constant when every operand is statically known
+            (``entry.fold``; a template that reads no register always is);
+            a register copy for an ``imm0_copy`` form with ``imm == 0``; the
+            bare ``entry.inner`` when the operands' proven bounds place it
+            in ``[0, entry.limit]``, so the outer wrap is idle; else the full
+            template.  Bound rules consulted commit through ``ubuse``.
+            """
+            rd = decoded.rd
+            rs1 = decoded.rs1
+            rs2 = decoded.rs2
+            imm = decoded.imm
+            reads = [getattr(decoded, name) for name in entry.reads]
+            if not reads or (
+                entry.fold is not None
+                and pc not in banned
+                and all(
+                    r == 0 or (r in consts if entry.fold == CONST else kreg(r))
+                    for r in reads
+                )
+            ):
+                # Every operand statically known (possibly by pinning entry
+                # values): the result is a constant, which keeps address
+                # chains like ``base + scaled-index`` foldable.
+                known = {name: 0 if r == 0 else fold(r, pc)
+                         for name, r in zip(entry.reads, reads)}
+                value = entry.value(
+                    known.get("rs1", 0), known.get("rs2", 0), imm, pc
+                )
+                setreg(rd, f"{value}", ind, known=value, record=record)
+                return
+            bound = None
+            used = ()
+            for rule, params in entry.ub:
+                regs = [rs1 if name == "A" else rs2 for name in params
+                        if name != "imm"]
+                args = [imm if name == "imm" else ubget(rs1 if name == "A" else rs2)
+                        for name in params]
+                if None in args or (regs and pc in banned):
+                    continue
+                value = rule(*args)
+                if value is not None and (bound is None or value < bound):
+                    bound = value
+                    used = regs
+            drop = (
+                bound is not None
+                and entry.inner is not None
+                and bound <= entry.limit
+                and entry.inner_value(0, 0, imm, pc) >= 0
+                and all(
+                    unsigned_view(r, pc)
+                    for view, r in (("SA", rs1), ("SB", rs2))
+                    if view in fields(entry.inner)
+                )
+            )
+            if entry.imm0_copy and imm == 0:
+                # The copy needs a proof only when the wrap is narrower than
+                # a register (word ops): a canonical value never wraps 64.
+                proof = entry.limit is not None and entry.limit < MASK64
+                if drop or not proof:
+                    if proof:
+                        ubuse(pc, *used)
+                    if rd != rs1:
+                        u1 = ubget(rs1)
+                        if u1 is not None and pc not in banned:
+                            ubuse(pc, rs1)
+                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
+                        else:
+                            setreg(rd, reg(rs1), ind, record=record)
+                    return
+            if drop:
+                ubuse(pc, *used)
+                template = entry.inner
+            else:
+                template = entry.expr
+                if entry.inner is not None:
+                    bound = None
+                elif bound is not None:
+                    ubuse(pc, *used)
+            setreg(rd, render(
+                template, lambda name: operand(name, rs1, rs2, imm, pc)
+            ), ind, record=record, ub=bound)
+
         def emit_plain(decoded, pc, ind, pos, record):
             """Emit one guardable instruction (ALU/load/store/fence).
 
@@ -1685,364 +1529,12 @@ class Executor:
             rs1 = decoded.rs1
             rs2 = decoded.rs2
             imm = decoded.imm
-            if mnemonic in _ALU_MNEMONICS and rd == 0:
-                return True  # writes to x0 are discarded; pure no-op
-            if mnemonic == "add":
-                if (
-                    pc not in banned
-                    and (rs1 == 0 or kreg(rs1))
-                    and (rs2 == 0 or kreg(rs2))
-                ):
-                    # Both operands statically known (possibly by pinning
-                    # entry values): the sum is a constant, which keeps
-                    # address chains like ``base + scaled-index`` foldable
-                    # through register-register arithmetic.
-                    v1 = 0 if rs1 == 0 else fold(rs1, pc)
-                    v2 = 0 if rs2 == 0 else fold(rs2, pc)
-                    known = (v1 + v2) & MASK64
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                    return True
-                u1 = ubget(rs1)
-                u2 = ubget(rs2)
-                if (
-                    u1 is not None and u2 is not None
-                    and u1 + u2 <= MASK64 and pc not in banned
-                ):
-                    # Range analysis proves the sum can't wrap: elide the
-                    # 64-bit mask (the dominant per-line cost in hot traces).
-                    ubuse(pc, rs1, rs2)
-                    setreg(rd, f"{reg(rs1)} + {reg(rs2)}", ind,
-                           record=record, ub=u1 + u2)
-                else:
-                    setreg(rd, f"({reg(rs1)} + {reg(rs2)}) & {M}", ind, record=record)
-            elif mnemonic == "addi":
-                known = None
-                if rs1 == 0:
-                    known = imm & MASK64
-                elif pc not in banned and kreg(rs1):
-                    known = (fold(rs1, pc) + imm) & MASK64
-                u1 = ubget(rs1)
-                if known is not None:
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                elif imm == 0:
-                    # mv: register values are canonically masked already.
-                    if rd != rs1:
-                        if u1 is not None and pc not in banned:
-                            ubuse(pc, rs1)
-                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
-                        else:
-                            setreg(rd, reg(rs1), ind, record=record)
-                elif (
-                    imm > 0 and u1 is not None
-                    and u1 + imm <= MASK64 and pc not in banned
-                ):
-                    ubuse(pc, rs1)
-                    setreg(rd, f"{reg(rs1)} + {imm}", ind,
-                           record=record, ub=u1 + imm)
-                else:
-                    setreg(rd, f"({reg(rs1)} + {imm}) & {M}", ind, record=record)
-            elif mnemonic == "sub":
-                if (
-                    pc not in banned
-                    and (rs1 == 0 or kreg(rs1))
-                    and (rs2 == 0 or kreg(rs2))
-                ):
-                    v1 = 0 if rs1 == 0 else fold(rs1, pc)
-                    v2 = 0 if rs2 == 0 else fold(rs2, pc)
-                    known = (v1 - v2) & MASK64
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                    return True
-                setreg(rd, f"({reg(rs1)} - {reg(rs2)}) & {M}", ind, record=record)
-            elif mnemonic == "and":
-                if (
-                    pc not in banned
-                    and (rs1 == 0 or kreg(rs1))
-                    and (rs2 == 0 or kreg(rs2))
-                ):
-                    v1 = 0 if rs1 == 0 else fold(rs1, pc)
-                    v2 = 0 if rs2 == 0 else fold(rs2, pc)
-                    known = v1 & v2
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                    return True
-                # x & y is bounded by either operand's bound; taking the
-                # smaller one (when known) costs no emitted code.
-                u1 = ubget(rs1)
-                u2 = ubget(rs2)
-                ub = None
-                if pc not in banned and (u1 is not None or u2 is not None):
-                    if u1 is not None and (u2 is None or u1 <= u2):
-                        ubuse(pc, rs1)
-                        ub = u1
-                    else:
-                        ubuse(pc, rs2)
-                        ub = u2
-                setreg(rd, f"{reg(rs1)} & {reg(rs2)}", ind, record=record, ub=ub)
-            elif mnemonic == "andi":
-                # Free bound: the mask itself (no consultation needed).
-                setreg(rd, f"{reg(rs1)} & {imm & MASK64}", ind,
-                       record=record, ub=imm & MASK64)
-            elif mnemonic == "or":
-                if (
-                    pc not in banned
-                    and (rs1 == 0 or kreg(rs1))
-                    and (rs2 == 0 or kreg(rs2))
-                ):
-                    v1 = 0 if rs1 == 0 else fold(rs1, pc)
-                    v2 = 0 if rs2 == 0 else fold(rs2, pc)
-                    known = v1 | v2
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                    return True
-                u1 = ubget(rs1)
-                u2 = ubget(rs2)
-                ub = None
-                if u1 is not None and u2 is not None and pc not in banned:
-                    # x | y < 2**max(bits): no bit above either operand's
-                    # highest possible bit can be set.
-                    ubuse(pc, rs1, rs2)
-                    ub = (1 << max(u1.bit_length(), u2.bit_length())) - 1
-                setreg(rd, f"{reg(rs1)} | {reg(rs2)}", ind, record=record, ub=ub)
-            elif mnemonic == "ori":
-                if imm == 0:
-                    if rd != rs1:
-                        u1 = ubget(rs1)
-                        if u1 is not None and pc not in banned:
-                            ubuse(pc, rs1)
-                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
-                        else:
-                            setreg(rd, reg(rs1), ind, record=record)
-                else:
-                    u1 = ubget(rs1)
-                    ub = None
-                    if imm > 0 and u1 is not None and pc not in banned:
-                        ubuse(pc, rs1)
-                        ub = (1 << max(u1.bit_length(), imm.bit_length())) - 1
-                    setreg(rd, f"{reg(rs1)} | {imm & MASK64}", ind,
-                           record=record, ub=ub)
-            elif mnemonic == "xor":
-                if (
-                    pc not in banned
-                    and (rs1 == 0 or kreg(rs1))
-                    and (rs2 == 0 or kreg(rs2))
-                ):
-                    v1 = 0 if rs1 == 0 else fold(rs1, pc)
-                    v2 = 0 if rs2 == 0 else fold(rs2, pc)
-                    known = v1 ^ v2
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                    return True
-                u1 = ubget(rs1)
-                u2 = ubget(rs2)
-                ub = None
-                if u1 is not None and u2 is not None and pc not in banned:
-                    ubuse(pc, rs1, rs2)
-                    ub = (1 << max(u1.bit_length(), u2.bit_length())) - 1
-                setreg(rd, f"{reg(rs1)} ^ {reg(rs2)}", ind, record=record, ub=ub)
-            elif mnemonic == "xori":
-                if imm == 0:
-                    if rd != rs1:
-                        u1 = ubget(rs1)
-                        if u1 is not None and pc not in banned:
-                            ubuse(pc, rs1)
-                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
-                        else:
-                            setreg(rd, reg(rs1), ind, record=record)
-                else:
-                    u1 = ubget(rs1)
-                    ub = None
-                    if imm > 0 and u1 is not None and pc not in banned:
-                        ubuse(pc, rs1)
-                        ub = (1 << max(u1.bit_length(), imm.bit_length())) - 1
-                    setreg(rd, f"{reg(rs1)} ^ {imm & MASK64}", ind,
-                           record=record, ub=ub)
-            elif mnemonic == "sll":
-                setreg(rd, f"({reg(rs1)} << ({reg(rs2)} & 0x3F)) & {M}", ind, record=record)
-            elif mnemonic == "slli":
-                known = None
-                u1 = ubget(rs1)
-                if rs1 != 0 and pc not in banned and kreg(rs1):
-                    known = (fold(rs1, pc) << imm) & MASK64
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                elif imm == 0:
-                    if rd != rs1:
-                        if u1 is not None and pc not in banned:
-                            ubuse(pc, rs1)
-                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
-                        else:
-                            setreg(rd, reg(rs1), ind, record=record)
-                elif (
-                    u1 is not None and (u1 << imm) <= MASK64
-                    and pc not in banned
-                ):
-                    ubuse(pc, rs1)
-                    setreg(rd, f"{reg(rs1)} << {imm}", ind,
-                           record=record, ub=u1 << imm)
-                else:
-                    setreg(rd, f"({reg(rs1)} << {imm}) & {M}", ind, record=record)
-            elif mnemonic == "srl":
-                # Right shifts never grow the value: bound propagates free
-                # of emitted code (the result expression has no mask).
-                u1 = ubget(rs1)
-                ub = None
-                if u1 is not None and pc not in banned:
-                    ubuse(pc, rs1)
-                    ub = u1
-                setreg(rd, f"{reg(rs1)} >> ({reg(rs2)} & 0x3F)", ind,
-                       record=record, ub=ub)
-            elif mnemonic == "srli":
-                if imm == 0:
-                    if rd != rs1:
-                        u1 = ubget(rs1)
-                        if u1 is not None and pc not in banned:
-                            ubuse(pc, rs1)
-                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
-                        else:
-                            setreg(rd, reg(rs1), ind, record=record)
-                else:
-                    # Free bound: a canonical register value is <= MASK64.
-                    setreg(rd, f"{reg(rs1)} >> {imm}", ind,
-                           record=record, ub=MASK64 >> imm)
-            elif mnemonic == "sra":
-                u1 = ubget(rs1)
-                if (
-                    u1 is not None and u1 < 0x8000000000000000
-                    and pc not in banned
-                ):
-                    # Proven non-negative: arithmetic == logical shift, and
-                    # neither the sign trick nor the result mask is needed.
-                    ubuse(pc, rs1)
-                    setreg(rd, f"{reg(rs1)} >> ({reg(rs2)} & 0x3F)", ind,
-                           record=record, ub=u1)
-                else:
-                    setreg(rd, f"({sreg(rs1)} >> ({reg(rs2)} & 0x3F)) & {M}", ind, record=record)
-            elif mnemonic == "srai":
-                u1 = ubget(rs1)
-                if (
-                    u1 is not None and u1 < 0x8000000000000000
-                    and pc not in banned
-                ):
-                    ubuse(pc, rs1)
-                    setreg(rd, f"{reg(rs1)} >> {imm}", ind,
-                           record=record, ub=u1 >> imm)
-                else:
-                    setreg(rd, f"({sreg(rs1)} >> {imm}) & {M}", ind, record=record)
-            elif mnemonic == "slt":
-                setreg(rd, f"1 if {sreg(rs1, pc)} < {sreg(rs2, pc)} else 0",
-                       ind, record=record, ub=1)
-            elif mnemonic == "slti":
-                setreg(rd, f"1 if {sreg(rs1, pc)} < {imm} else 0",
-                       ind, record=record, ub=1)
-            elif mnemonic == "sltu":
-                setreg(rd, f"1 if {reg(rs1)} < {reg(rs2)} else 0",
-                       ind, record=record, ub=1)
-            elif mnemonic == "sltiu":
-                setreg(rd, f"1 if {reg(rs1)} < {imm & MASK64} else 0",
-                       ind, record=record, ub=1)
-            elif mnemonic == "addw":
-                setreg(rd, w32(f"{reg(rs1)} + {reg(rs2)}"), ind, record=record)
-            elif mnemonic == "addiw":
-                known = None
-                if rs1 == 0:
-                    known = _signed32(imm) & MASK64
-                elif rs1 in consts and pc not in banned:
-                    known = _signed32(fold(rs1, pc) + imm) & MASK64
-                u1 = ubget(rs1)
-                if known is not None:
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                elif (
-                    imm >= 0 and u1 is not None
-                    and u1 + imm <= 0x7FFFFFFF and pc not in banned
-                ):
-                    # The 32-bit sum can't reach the sign bit: truncation
-                    # and sign-extension are both the identity.
-                    ubuse(pc, rs1)
-                    if imm == 0:
-                        if rd != rs1:
-                            setreg(rd, reg(rs1), ind, record=record, ub=u1)
-                    else:
-                        setreg(rd, f"{reg(rs1)} + {imm}", ind,
-                               record=record, ub=u1 + imm)
-                else:
-                    setreg(rd, w32(f"{reg(rs1)} + {imm}"), ind, record=record)
-            elif mnemonic == "subw":
-                setreg(rd, w32(f"{reg(rs1)} - {reg(rs2)}"), ind, record=record)
-            elif mnemonic == "sllw":
-                setreg(rd, w32(f"{reg(rs1)} << ({reg(rs2)} & 0x1F)"), ind, record=record)
-            elif mnemonic == "slliw":
-                setreg(rd, w32(f"{reg(rs1)} << {imm}"), ind, record=record)
-            elif mnemonic == "srlw":
-                setreg(rd, w32(f"({reg(rs1)} & 0xFFFFFFFF) >> ({reg(rs2)} & 0x1F)"), ind, record=record)
-            elif mnemonic == "srliw":
-                setreg(rd, w32(f"({reg(rs1)} & 0xFFFFFFFF) >> {imm}"), ind, record=record)
-            elif mnemonic == "sraw":
-                setreg(rd, f"(({_s32expr(reg(rs1))}) >> ({reg(rs2)} & 0x1F)) & {M}", ind, record=record)
-            elif mnemonic == "sraiw":
-                setreg(rd, f"(({_s32expr(reg(rs1))}) >> {imm}) & {M}", ind, record=record)
-            elif mnemonic == "mul":
-                if (
-                    pc not in banned
-                    and (rs1 == 0 or kreg(rs1))
-                    and (rs2 == 0 or kreg(rs2))
-                ):
-                    v1 = 0 if rs1 == 0 else fold(rs1, pc)
-                    v2 = 0 if rs2 == 0 else fold(rs2, pc)
-                    known = (v1 * v2) & MASK64
-                    setreg(rd, f"{known}", ind, known=known, record=record)
-                    return True
-                u1 = ubget(rs1)
-                u2 = ubget(rs2)
-                if (
-                    u1 is not None and u2 is not None
-                    and u1 * u2 <= MASK64 and pc not in banned
-                ):
-                    ubuse(pc, rs1, rs2)
-                    setreg(rd, f"{reg(rs1)} * {reg(rs2)}", ind,
-                           record=record, ub=u1 * u2)
-                else:
-                    setreg(rd, f"({reg(rs1)} * {reg(rs2)}) & {M}", ind, record=record)
-            elif mnemonic == "mulh":
-                setreg(rd, f"(({sreg(rs1)} * {sreg(rs2)}) >> 64) & {M}", ind, record=record)
-            elif mnemonic == "mulhu":
-                setreg(rd, f"({reg(rs1)} * {reg(rs2)}) >> 64", ind, record=record)
-            elif mnemonic == "mulhsu":
-                setreg(rd, f"(({sreg(rs1)} * {reg(rs2)}) >> 64) & {M}", ind, record=record)
-            elif mnemonic == "mulw":
-                setreg(rd, w32(f"{reg(rs1)} * {reg(rs2)}"), ind, record=record)
-            elif mnemonic == "div":
-                setreg(rd, f"d64({reg(rs1)}, {reg(rs2)})", ind, record=record)
-            elif mnemonic == "divu":
-                setreg(rd, f"{M} if {reg(rs2)} == 0 else {reg(rs1)} // {reg(rs2)}", ind, record=record)
-            elif mnemonic == "rem":
-                setreg(rd, f"r64({reg(rs1)}, {reg(rs2)})", ind, record=record)
-            elif mnemonic == "remu":
-                # x % y <= x (and the y == 0 arm returns x itself), so the
-                # dividend's bound carries over free of emitted code.
-                u1 = ubget(rs1)
-                ub = None
-                if u1 is not None and pc not in banned:
-                    ubuse(pc, rs1)
-                    ub = u1
-                setreg(rd, f"{reg(rs1)} if {reg(rs2)} == 0 else {reg(rs1)} % {reg(rs2)}", ind, record=record, ub=ub)
-            elif mnemonic == "divw":
-                setreg(rd, f"d32({reg(rs1)}, {reg(rs2)})", ind, record=record)
-            elif mnemonic == "divuw":
-                setreg(rd, (
-                    f"{M} if ({reg(rs2)} & 0xFFFFFFFF) == 0 else "
-                    + w32(f"({reg(rs1)} & 0xFFFFFFFF) // ({reg(rs2)} & 0xFFFFFFFF)")
-                ), ind, record=record)
-            elif mnemonic == "remw":
-                setreg(rd, f"r32({reg(rs1)}, {reg(rs2)})", ind, record=record)
-            elif mnemonic == "remuw":
-                setreg(rd, (
-                    w32(f"{reg(rs1)} & 0xFFFFFFFF")
-                    + f" if ({reg(rs2)} & 0xFFFFFFFF) == 0 else "
-                    + w32(f"({reg(rs1)} & 0xFFFFFFFF) % ({reg(rs2)} & 0xFFFFFFFF)")
-                ), ind, record=record)
-            elif mnemonic == "lui":
-                setreg(rd, f"{imm & MASK64}", ind, known=imm & MASK64, record=record)
-            elif mnemonic == "auipc":
-                value = (pc + imm) & MASK64
-                setreg(rd, f"{value}", ind, known=value, record=record)
-            elif mnemonic in _LOAD_SIZES:
-                size = _LOAD_SIZES[mnemonic]
+            entry = ALU.get(mnemonic)
+            if entry is not None:
+                if rd:  # writes to x0 are discarded; pure no-op
+                    emit_alu(entry, decoded, pc, ind, record)
+            elif mnemonic in LOADS:
+                size, sign = LOADS[mnemonic]
                 # Constant-address fast lane: a base register pinned by
                 # exact-value speculation (or x0) makes the address a
                 # compile-time constant, so the page view is bound once in
@@ -2075,16 +1567,10 @@ class Executor:
                     if name is None:
                         name = kpages[key] = f"v{lane}{ka >> 12:x}"
                     fetch = f"{name}[{(ka & 4095) >> shift}]"
-                    if mnemonic == "lw":
-                        setreg(rd, f"(({fetch} ^ 0x80000000) - 0x80000000)"
-                               f" & {M}", ind, record=record)
-                    elif mnemonic == "lh":
-                        setreg(rd, f"(({fetch} ^ 0x8000) - 0x8000) & {M}",
+                    if sign:
+                        setreg(rd, f"(({fetch} ^ {sign:#x}) - {sign:#x}) & {M}",
                                ind, record=record)
-                    elif mnemonic == "lb":
-                        setreg(rd, f"(({fetch} ^ 0x80) - 0x80) & {M}",
-                               ind, record=record)
-                    else:  # ld / lwu / lhu / lbu
+                    else:
                         setreg(rd, fetch, ind, record=record,
                                ub=(1 << (8 * size)) - 1 if size < 8 else None)
                     return True
@@ -2112,9 +1598,8 @@ class Executor:
                     # as zero without allocating (an aligned access never
                     # crosses a page).  Sign-extending loads land in a temp
                     # and fix up below.
-                    signed = mnemonic in ("lb", "lh", "lw")
-                    target = "t" if signed else f"x{rd}"
-                    if not signed:
+                    target = "t" if sign else f"x{rd}"
+                    if not sign:
                         touched.add(rd)
                         written.add(rd)
                         if rd not in first_event:
@@ -2157,28 +1642,20 @@ class Executor:
                     body.append((ind + 1, f"{target} = rd_({av}, {size})"))
                     body.append((ind, "else:"))
                     body.append((ind + 1, f"{target} = {fast}"))
-                    if mnemonic == "lw":
-                        setreg(rd, f"((t ^ 0x80000000) - 0x80000000) & {M}", ind, record=record)
-                    elif mnemonic == "lh":
-                        setreg(rd, f"((t ^ 0x8000) - 0x8000) & {M}", ind, record=record)
-                    elif mnemonic == "lb":
-                        setreg(rd, f"((t ^ 0x80) - 0x80) & {M}", ind, record=record)
+                    if sign:
+                        setreg(rd, f"((t ^ {sign:#x}) - {sign:#x}) & {M}", ind, record=record)
                     return True
                 load = f"rd_({addr}, {size})"
                 if rd == 0:
                     # x0 loads still perform the access (MMIO side effects).
                     body.append((ind, load))
-                elif mnemonic == "lw":
-                    setreg(rd, f"(({load} ^ 0x80000000) - 0x80000000) & {M}", ind, record=record)
-                elif mnemonic == "lh":
-                    setreg(rd, f"(({load} ^ 0x8000) - 0x8000) & {M}", ind, record=record)
-                elif mnemonic == "lb":
-                    setreg(rd, f"(({load} ^ 0x80) - 0x80) & {M}", ind, record=record)
-                else:  # ld / lwu / lhu / lbu
+                elif sign:
+                    setreg(rd, f"(({load} ^ {sign:#x}) - {sign:#x}) & {M}", ind, record=record)
+                else:
                     setreg(rd, load, ind, record=record,
                            ub=(1 << (8 * size)) - 1 if size < 8 else None)
-            elif mnemonic in _STORE_SIZES:
-                size = _STORE_SIZES[mnemonic]
+            elif mnemonic in STORE_SIZES:
+                size = STORE_SIZES[mnemonic]
                 # Constant-address fast lane (mirror of the load lane): the
                 # alignment and write-hook checks fold away at compile time,
                 # leaving only the self-modifying-code overlap test — whose
@@ -2455,7 +1932,13 @@ class Executor:
             # the tier-1 closures at the returned PC.
             if mnemonic in _T2_STOPPERS or mnemonic == "rocc":
                 break
-            if mnemonic not in _T2_SUPPORTED:
+            # Anything the emitter does not know ends the trace too
+            # (defensive: an unknown instruction must fall back, not
+            # miscompile).
+            if not (
+                _t2_guardable(mnemonic) or mnemonic in BRANCHES
+                or mnemonic == "jal"
+            ):
                 break
 
             visited.add(pc)
@@ -2478,7 +1961,8 @@ class Executor:
                 pc = target
                 continue
 
-            if mnemonic in _T2_BRANCHES:
+            branch = BRANCHES.get(mnemonic)
+            if branch is not None:
                 rs2 = decoded.rs2
                 taken = (pc + imm) & MASK64
                 v1 = 0 if rs1 == 0 else consts.get(rs1, None)
@@ -2490,22 +1974,8 @@ class Executor:
                         folds.append((count + 1, rs1, const_def[rs1], pc))
                     if rs2 != 0:
                         folds.append((count + 1, rs2, const_def[rs2], pc))
-                    if mnemonic in ("blt", "bge"):
-                        o1 = (v1 ^ (1 << 63)) - (1 << 63)
-                        o2 = (v2 ^ (1 << 63)) - (1 << 63)
-                    else:
-                        o1 = v1
-                        o2 = v2
-                    if mnemonic == "beq":
-                        t = v1 == v2
-                    elif mnemonic == "bne":
-                        t = v1 != v2
-                    elif mnemonic in ("blt", "bltu"):
-                        t = o1 < o2
-                    else:  # bge / bgeu
-                        t = o1 >= o2
                     count += 1
-                    if not t:
+                    if not branch.taken(v1, v2):
                         pc += 4
                         continue
                     if taken in visited:
@@ -2537,18 +2007,9 @@ class Executor:
                         break
                     pc = taken
                     continue
-                if mnemonic == "beq":
-                    cond = f"{reg(rs1)} == {reg(rs2)}"
-                elif mnemonic == "bne":
-                    cond = f"{reg(rs1)} != {reg(rs2)}"
-                elif mnemonic == "blt":
-                    cond = f"{sreg(rs1, pc)} < {sreg(rs2, pc)}"
-                elif mnemonic == "bge":
-                    cond = f"{sreg(rs1, pc)} >= {sreg(rs2, pc)}"
-                elif mnemonic == "bltu":
-                    cond = f"{reg(rs1)} < {reg(rs2)}"
-                else:  # bgeu
-                    cond = f"{reg(rs1)} >= {reg(rs2)}"
+                cond = render(
+                    branch.cond, lambda name: operand(name, rs1, rs2, 0, pc)
+                )
                 if taken in visited and backedge(taken, count + 1, cond=cond):
                     count += 1
                     pc += 4
@@ -2570,7 +2031,7 @@ class Executor:
                         except (DecodingError, SimulationError):
                             guarded = None
                             break
-                        if gdec.mnemonic not in _T2_GUARDABLE:
+                        if not _t2_guardable(gdec.mnemonic):
                             guarded = None
                             break
                         guarded.append((gpc, gdec))
@@ -2597,7 +2058,7 @@ class Executor:
                 continue
 
             if not emit_plain(decoded, pc, cur, count + 1, True):
-                # pragma: no cover - _T2_SUPPORTED keeps this unreachable
+                # pragma: no cover - the check above keeps this unreachable
                 visited.discard(pc)
                 covered.pop()
                 break
@@ -2696,34 +2157,11 @@ class Executor:
 #: constant-address memory lanes.
 _T2_LANES = {8: ("q", 3), 4: ("w", 2), 2: ("h", 1), 1: ("b", 0)}
 
-#: Register-writing instructions whose only effect is ``rd = f(operands)``;
-#: with ``rd == x0`` they compile to a pure no-op.
-_ALU_MNEMONICS = frozenset({
-    "add", "addi", "sub", "and", "andi", "or", "ori", "xor", "xori",
-    "sll", "slli", "srl", "srli", "sra", "srai",
-    "slt", "slti", "sltu", "sltiu",
-    "addw", "addiw", "subw", "sllw", "slliw", "srlw", "srliw", "sraw", "sraiw",
-    "mul", "mulh", "mulhu", "mulhsu", "mulw",
-    "div", "divu", "rem", "remu", "divw", "divuw", "remw", "remuw",
-    "lui", "auipc",
-})
 
-#: Everything the tier-2 emitter can fold into straight-line source.  Any
-#: other mnemonic ends the trace (defensive: the decoder and the emitter are
-#: kept in sync, but an unknown instruction must fall back, not miscompile).
-_T2_SUPPORTED = (
-    _ALU_MNEMONICS
-    | frozenset(_LOAD_SIZES)
-    | frozenset(_STORE_SIZES)
-    | _T2_BRANCHES
-    | frozenset({"jal", "fence"})
-)
-
-#: Instructions that may execute conditionally inside a skip-diamond guard:
-#: anything without control transfer or synchronized-state needs.
-_T2_GUARDABLE = (
-    _ALU_MNEMONICS
-    | frozenset(_LOAD_SIZES)
-    | frozenset(_STORE_SIZES)
-    | frozenset({"fence"})
-)
+def _t2_guardable(mnemonic: str) -> bool:
+    """May execute conditionally inside a tier-2 skip-diamond guard:
+    anything without control transfer or synchronized-state needs."""
+    return (
+        mnemonic in ALU or mnemonic in LOADS or mnemonic in STORE_SIZES
+        or mnemonic == "fence"
+    )

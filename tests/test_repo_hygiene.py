@@ -96,3 +96,32 @@ def test_docs_check_flags_stale_fence_imports():
     assert len(errors) == 2
     assert "docs/x.md:2:" in errors[0] and "'no_such_builder'" in errors[0]
     assert "docs/x.md:11:" in errors[1] and "repro.no_such_module" in errors[1]
+
+
+def test_engines_do_not_spell_out_table_mnemonics():
+    """The RV64IM semantics live once, in ``repro.isa.semantics``.
+
+    The tier-1/tier-2 engine and the Rocket timing spans render from that
+    table; a string literal naming one of its mnemonics (``== "add"``,
+    ``in ("beq", ...)``, a per-mnemonic dict) in either file is the start of
+    a second hand-written copy.
+    """
+    import ast
+
+    from repro.isa.semantics import ALU, BRANCHES, LOADS
+
+    tabled = set(ALU) | set(BRANCHES) | set(LOADS)
+    offenders = []
+    for relative in ("src/repro/sim/executor.py", "src/repro/rocket/timing.py"):
+        tree = ast.parse((REPO_ROOT / relative).read_text())
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value in tabled
+            ):
+                offenders.append(f"{relative}:{node.lineno}: {node.value!r}")
+    assert not offenders, (
+        "table mnemonics spelled out in an engine (render from "
+        f"repro.isa.semantics instead): {offenders}"
+    )
