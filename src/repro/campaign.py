@@ -66,16 +66,20 @@ from repro.errors import ConfigurationError
 from repro.workloads import registered_workloads
 
 
-def _axis_list(axis: str):
-    """argparse type for a comma-separated list axis of :class:`Axes`."""
+def _axis_list(axis: str, item=str):
+    """argparse type for a comma-separated list axis of :class:`Axes`;
+    ``item`` converts each value (``int`` for the integer axes)."""
 
     def parse(text: str) -> tuple:
+        parts = [part.strip() for part in text.split(",") if part.strip()]
         try:
-            return axis_values(
-                axis, [part.strip() for part in text.split(",") if part.strip()]
-            )
+            return axis_values(axis, [item(part) for part in parts])
         except ConfigurationError as error:
             raise argparse.ArgumentTypeError(str(error)) from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{axis} must be comma-separated integers, got {text!r}"
+            ) from None
 
     return parse
 
@@ -158,13 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--depths", type=_axis_list("depths"), default=(1, 2, 4, 8),
+        "--depths", type=_axis_list("depths", int), default=(1, 2, 4, 8),
         metavar="N[,N...]",
         help="pipeline stage depths to sweep (default 1,2,4,8; "
              "requires --pipeline-sweep)",
     )
     parser.add_argument(
-        "--widths", type=_axis_list("widths"), default=(1, 2, 4),
+        "--widths", type=_axis_list("widths", int), default=(1, 2, 4),
         metavar="N[,N...]",
         help="issue widths to sweep (default 1,2,4; requires --pipeline-sweep)",
     )

@@ -543,15 +543,14 @@ OPERATION_KINDS = (SolutionKind.METHOD1, SolutionKind.SOFTWARE)
 
 
 def _integer(value, what: str, minimum: int = None) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"{what} must be an integer, got {value!r}"
-        ) from None
-    if minimum is not None and number < minimum:
-        raise ConfigurationError(f"{what} must be at least {minimum}, got {number}")
-    return number
+    # Service specs arrive as decoded JSON, so only a real integer counts:
+    # ``int()`` would run ``true`` as 1 and truncate 2.5 or 1.9 silently.
+    # The CLI parses its integer flags before they get here.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{what} must be at least {minimum}, got {value}")
+    return value
 
 
 def _choice(allowed: tuple, noun: str):

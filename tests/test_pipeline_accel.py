@@ -780,6 +780,13 @@ class TestSweepPlumbing:
         with pytest.raises(SystemExit):
             main(["--pipeline-sweep", "--kinds", "method1"])
 
+    @pytest.mark.parametrize("depths", ["1,two", "1,2.5", "0"])
+    def test_cli_rejects_non_integer_depths(self, depths):
+        from repro.campaign import main
+
+        with pytest.raises(SystemExit):
+            main(["--pipeline-sweep", "--depths", depths])
+
 
 # ---------------------------------------------------------------------------
 # Area model: pipeline knobs cost hardware, the d1w1 point costs nothing

@@ -380,6 +380,14 @@ class TestHttpService:
             {"samples": 4, "shards_per_cell": True},
             {"samples": 4, "shards_per_cell": 0},
             {"samples": 4, "shards_per_cell": None},
+            # JSON integers only: no bool, float, null or string coercion.
+            {"samples": True},
+            {"samples": 2.5},
+            {"samples": None},
+            {"samples": "4"},
+            {"samples": 4, "seed": 1.9},
+            {"samples": 4, "seed": False},
+            {"samples": 4, "repetitions": 1.0},
         ]
         with serve_in_background(ResultCache(tmp_path)) as server:
             for spec in invalid:
