@@ -100,7 +100,6 @@ MAX_SPAN = 256
 MIN_SPAN = 2
 
 
-
 def _known(mnemonic: str) -> bool:
     """Everything the emitter below can fold.  Any other mnemonic (CSRs,
     ecall, ebreak, fence.i, rocc, future extensions) ends the walk *before*

@@ -357,23 +357,36 @@ _T1_FIELDS = {
 }
 
 _T1_ALU = """\
-def factory(regs, rd, rs1, rs2, imm, uimm, next_pc):
+def factory(regs, rd, rs1, rs2, imm, uimm, next_pc, hart, info):
     def fast():
         regs[rd] = {code}
         return next_pc
-    return fast
+    def info_op():
+        regs[rd] = {code}
+        hart.pc = next_pc
+        return info
+    return fast, info_op
 """
 
 _T1_BRANCH = """\
-def factory(regs, rs1, rs2, taken_pc, next_pc):
+def factory(regs, rs1, rs2, taken_pc, next_pc, hart, info):
     def fast():
         return taken_pc if {code} else next_pc
-    def cond():
-        return {code}
-    return fast, cond
+    def info_op():
+        if {code}:
+            info.branch_taken = True
+            info.next_pc = taken_pc
+            hart.pc = taken_pc
+        else:
+            info.branch_taken = False
+            info.next_pc = next_pc
+            hart.pc = next_pc
+        return info
+    return fast, info_op
 """
 
-#: Semantics-table entry -> its exec-compiled tier-1 closure factory.
+#: Semantics-table entry -> its exec-compiled tier-1 closure factory,
+#: which returns the instruction's ``(fast, info_op)`` pair.
 _T1_FACTORIES = {}
 
 
@@ -800,9 +813,9 @@ class Executor:
                     regs[rd] = constant
                     return next_pc
             else:
-                fast = _t1_factory(entry, _T1_ALU, entry.expr)(
-                    regs, rd, rs1, rs2, imm, imm & MASK64, next_pc
-                )
+                return _t1_factory(entry, _T1_ALU, entry.expr)(
+                    regs, rd, rs1, rs2, imm, imm & MASK64, next_pc, hart, info
+                ) + (_KIND_SEQ,)
             return fast, alu_info(fast), _KIND_SEQ
 
         # --- loads: one closure shape per width/sign-extension entry ---------
@@ -914,23 +927,10 @@ class Executor:
 
         branch = BRANCHES.get(mnemonic)
         if branch is not None:
-            taken_pc = (pc + imm) & MASK64
             info.timing_class = TC_BRANCH
-            fast, cond = _t1_factory(branch, _T1_BRANCH, branch.cond)(
-                regs, rs1, rs2, taken_pc, next_pc
-            )
-
-            def info_op():
-                if cond():
-                    info.branch_taken = True
-                    info.next_pc = taken_pc
-                    hart.pc = taken_pc
-                else:
-                    info.branch_taken = False
-                    info.next_pc = next_pc
-                    hart.pc = next_pc
-                return info
-            return fast, info_op, _KIND_TERM
+            return _t1_factory(branch, _T1_BRANCH, branch.cond)(
+                regs, rs1, rs2, (pc + imm) & MASK64, next_pc, hart, info
+            ) + (_KIND_TERM,)
 
         # --- system -----------------------------------------------------------
         if mnemonic in ("csrrs", "csrrw", "csrrc", "csrrsi", "csrrwi", "csrrci"):
