@@ -190,7 +190,7 @@ def test_oracle_covers_every_instruction_class():
 
 # ------------------------------------------------------------------ cases
 def _cases(mnemonic):
-    """``(operands, expected)`` per case; operands feed :func:`_emit_op`."""
+    """``((rs1 value, rs2 value or immediate), expected rd)`` per case."""
     if mnemonic in R_SPEC:
         spec = R_SPEC[mnemonic]
         return [((a, b), _u(spec(a, b))) for a in EDGES for b in SECONDS]
